@@ -907,7 +907,7 @@ pub fn faults_masking_run(transient: f64, torn: f64) -> (plfs::FaultStats, u64, 
         plfs::PlfsConfig {
             writer: plfs::WriterConfig { retry: RetryPolicy::fast_test(), ..Default::default() },
             retry: RetryPolicy::fast_test(),
-            metrics: row_reg.clone(),
+            telemetry: plfs::Telemetry::new(&row_reg),
             ..Default::default()
         },
     );
@@ -1140,7 +1140,7 @@ pub fn openscale_e2e() -> OpenScaleE2e {
         let reg = Registry::new();
         let fs = plfs::Plfs::new(
             backend.clone(),
-            plfs::PlfsConfig { metrics: reg.clone(), ..Default::default() },
+            plfs::PlfsConfig { telemetry: plfs::Telemetry::new(&reg), ..Default::default() },
         );
         let t0 = std::time::Instant::now();
         let r = fs.open_reader("/ckpt").unwrap();
@@ -1313,7 +1313,7 @@ pub fn readscale_cell(ranks: usize, per_rank: usize) -> ReadScaleCell {
         let reg = Registry::new();
         let fs = plfs::Plfs::new(
             backend.clone(),
-            plfs::PlfsConfig { metrics: reg.clone(), ..Default::default() },
+            plfs::PlfsConfig { telemetry: plfs::Telemetry::new(&reg), ..Default::default() },
         );
         (fs.open_reader("/ckpt").unwrap(), reg)
     };
@@ -1586,7 +1586,7 @@ pub struct IntegritySummary {
 }
 
 /// Write the readscale checkpoint shape and read it back with
-/// verification off, then on.
+/// verification off and on, alternating the timed passes.
 pub fn integrity_cell(ranks: usize, per_rank: usize) -> IntegrityCell {
     use plfs::backend::Backend;
     use plfs::MemBackend;
@@ -1613,41 +1613,36 @@ pub fn integrity_cell(ranks: usize, per_rank: usize) -> IntegrityCell {
     let open = |reg: &Registry| {
         let fs = plfs::Plfs::new(
             backend.clone(),
-            plfs::PlfsConfig { metrics: reg.clone(), ..Default::default() },
+            plfs::PlfsConfig { telemetry: plfs::Telemetry::new(reg), ..Default::default() },
         );
         fs.open_reader("/ckpt").unwrap()
     };
 
-    // Verification off: the PR-5 engine, as readscale measures it.
+    // Verification off (the engine as readscale measures it) and on
+    // (the default). The first pass of each is cold: the verifying one
+    // CRCs every covered block. Warm passes ride the readahead
+    // cache and the verify-once bitmap. They alternate off/on, so host
+    // drift during the cell lands on both sides of the comparison
+    // instead of between two blocks of passes.
     let mut off_reader = open(&Registry::new());
     off_reader.set_verify(false);
-    let mut plain = vec![0u8; total as usize];
-    let t0 = Instant::now();
-    off_reader.read_at(0, &mut plain).unwrap();
-    let first_off_ns = t0.elapsed().as_nanos() as u64;
-    let mut warm_off_ns = u64::MAX;
-    for _ in 0..PASSES {
-        let t = Instant::now();
-        off_reader.read_at(0, &mut plain).unwrap();
-        warm_off_ns = warm_off_ns.min(t.elapsed().as_nanos() as u64);
-    }
-
-    // Verification on (the default): the first pass CRCs every covered
-    // block; warm passes ride the verified cache and the verify-once
-    // bitmap.
     let on_reg = Registry::new();
     let on_reader = open(&on_reg);
+    let mut plain = vec![0u8; total as usize];
     let mut checked = vec![0u8; total as usize];
-    let t1 = Instant::now();
-    on_reader.read_at(0, &mut checked).unwrap();
-    let first_on_ns = t1.elapsed().as_nanos() as u64;
+    let timed = |reader: &plfs::Reader, buf: &mut [u8]| {
+        let t = Instant::now();
+        reader.read_at(0, buf).unwrap();
+        t.elapsed().as_nanos() as u64
+    };
+    let first_off_ns = timed(&off_reader, &mut plain);
+    let first_on_ns = timed(&on_reader, &mut checked);
     let verify_blocks = on_reg.value("plfs.verify.blocks").unwrap_or(0);
     let verify_bytes = on_reg.value("plfs.verify.bytes").unwrap_or(0);
-    let mut warm_on_ns = u64::MAX;
+    let (mut warm_off_ns, mut warm_on_ns) = (u64::MAX, u64::MAX);
     for _ in 0..PASSES {
-        let t = Instant::now();
-        on_reader.read_at(0, &mut checked).unwrap();
-        warm_on_ns = warm_on_ns.min(t.elapsed().as_nanos() as u64);
+        warm_off_ns = warm_off_ns.min(timed(&off_reader, &mut plain));
+        warm_on_ns = warm_on_ns.min(timed(&on_reader, &mut checked));
     }
 
     IntegrityCell {
@@ -1703,7 +1698,11 @@ pub fn integrity_results() -> IntegritySummary {
     let clean_reg = Registry::new();
     let clean_fs = plfs::Plfs::new(
         faulty.clone() as Arc<dyn Backend>,
-        plfs::PlfsConfig { hostdirs: 2, metrics: clean_reg.clone(), ..Default::default() },
+        plfs::PlfsConfig {
+            hostdirs: 2,
+            telemetry: plfs::Telemetry::new(&clean_reg),
+            ..Default::default()
+        },
     );
     clean_fs.open_reader("/f").unwrap().read_all().unwrap();
     let clean = fsck::scrub(faulty.as_ref(), "/f", 2).unwrap();

@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use obs::Registry;
 use plfs::backend::Backend;
-use plfs::{pool, IngestService, MemBackend, Plfs, PlfsConfig, ServiceConfig};
+use plfs::{pool, IngestService, MemBackend, Plfs, PlfsConfig, ServiceConfig, Telemetry};
 use simkit::units::fmt_bytes;
 use workloads::swarm::{plan, SwarmConfig, SwarmPlan};
 use workloads::SizeDist;
@@ -153,7 +153,8 @@ impl IngestCell {
 pub fn ingest_cell(shards: usize, swarm: &SwarmPlan) -> IngestCell {
     let reg = Registry::new();
     let backend = Arc::new(PacedBackend::new(PACE_NS_PER_BYTE, PACE_FLOOR_NS)) as Arc<dyn Backend>;
-    let fs = Plfs::new(backend, PlfsConfig { metrics: reg.clone(), ..Default::default() });
+    let fs =
+        Plfs::new(backend, PlfsConfig { telemetry: Telemetry::new(&reg), ..Default::default() });
     let svc = IngestService::start(
         &fs,
         "/swarm",

@@ -43,7 +43,7 @@ use obs::{json, Clock, Registry};
 use pfs::sim::{Cluster, Op};
 use pfs::{ClusterConfig, QueueStats};
 use plfs::backend::{Backend, MemBackend};
-use plfs::{FaultPlan, FaultyBackend, Plfs, PlfsConfig, RetryPolicy};
+use plfs::{FaultPlan, FaultyBackend, Plfs, PlfsConfig, RetryPolicy, Telemetry};
 use simkit::units::{KIB, MIB};
 use simkit::SimDuration;
 
@@ -444,16 +444,14 @@ pub fn render_flaky_dashboard(frames: &[Frame]) -> String {
 /// rounds and finally crash-stops.
 fn flaky_run() -> FlakyMonitorCell {
     let reg = Registry::new();
-    let clock = Clock::logical();
-    let flight = Recorder::new(&reg, &clock, 1 << 62, FLAKY_ROUNDS + 2);
     let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(11)));
     faulty.bind_obs(&reg);
 
     let mut cfg = PlfsConfig {
-        metrics: reg.clone(),
-        clock: Some(clock.clone()),
-        flight: flight.clone(),
-        meters: Some(obs::timeseries::WindowSpec::new(1 << 20, 8)),
+        telemetry: Telemetry::new(&reg)
+            .with_clock(Clock::logical())
+            .with_flight(1 << 62, FLAKY_ROUNDS + 2)
+            .with_meters(obs::timeseries::WindowSpec::new(1 << 20, 8)),
         retry: RetryPolicy::fast_test(),
         ..Default::default()
     };
@@ -461,6 +459,7 @@ fn flaky_run() -> FlakyMonitorCell {
     cfg.writer.data_buffer = 0; // one backend append per write
 
     let fs = Plfs::new(faulty.clone() as Arc<dyn Backend>, cfg);
+    let flight = fs.metrics().flight.clone();
     let mut w = fs.open_writer("/ckpt", 0).expect("open writer");
 
     flight.sample_now(); // baseline frame

@@ -28,7 +28,7 @@ use plfs::backend::{Backend, DirBackend, MemBackend};
 use plfs::chunk::ChunkBackend;
 use plfs::record::OpLogRecorder;
 use plfs::replay::{differential, replay, DiffOutcome, ReplayMode, ReplayOptions, ReplayOutcome};
-use plfs::{FaultPlan, FaultyBackend, Plfs, PlfsConfig};
+use plfs::{FaultPlan, FaultyBackend, Plfs, PlfsConfig, Telemetry};
 use workloads::gen::{generate, GenConfig, Scenario};
 use workloads::oplog::OpLog;
 use workloads::sample::{ArrivalDist, SizeDist};
@@ -125,7 +125,10 @@ pub fn replay_results() -> ReplaySummary {
     // recorder's snapshot — real timestamps, real write stamps, real
     // read outcomes — is the log every replay below must reproduce.
     let recorder = Arc::new(OpLogRecorder::new());
-    let fs = mem_fs(PlfsConfig { record: Some(recorder.clone()), ..Default::default() });
+    let fs = mem_fs(PlfsConfig {
+        telemetry: Telemetry::default().with_capture(recorder.clone()),
+        ..Default::default()
+    });
     let t = Instant::now();
     let base = replay(
         &fs,

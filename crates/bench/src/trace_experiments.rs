@@ -137,12 +137,14 @@ fn trace_plfs_nn() -> TraceRun {
 /// children, `retry.attempt` spans where transient errors were masked,
 /// and `torn.recovery` markers where a torn append was resumed.
 fn trace_plfs_io() -> TraceRun {
-    use plfs::{Backend, FaultPlan, FaultyBackend, MemBackend, Plfs, PlfsConfig, RetryPolicy};
+    use plfs::{
+        Backend, FaultPlan, FaultyBackend, MemBackend, Plfs, PlfsConfig, RetryPolicy, Telemetry,
+    };
     use std::sync::Arc;
 
     let sink = TraceSink::bounded(1 << 16);
     let mut cfg = PlfsConfig {
-        trace: sink.clone(),
+        telemetry: Telemetry::default().with_trace(sink.clone()),
         retry: RetryPolicy::fast_test(),
         ..PlfsConfig::default()
     };

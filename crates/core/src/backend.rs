@@ -30,19 +30,9 @@ pub trait Backend: Send + Sync {
     /// Create an empty file *only if it does not already exist*;
     /// `Err(AlreadyExists)` if it does. This is the one compare-and-swap
     /// primitive PLFS asks of the store: concurrent openers race their
-    /// session reservations through it, so real implementations should
-    /// override the default with something genuinely atomic (`O_EXCL`
-    /// on a POSIX store). The default is a non-atomic exists-then-create
-    /// fallback, acceptable only for backends without racing clients.
-    fn create_new(&self, path: &str) -> io::Result<()> {
-        if self.exists(path) {
-            return Err(io::Error::new(
-                io::ErrorKind::AlreadyExists,
-                format!("path already exists: {path}"),
-            ));
-        }
-        self.create(path)
-    }
+    /// session reservations through it, so it must be genuinely atomic
+    /// (`O_EXCL` on a POSIX store).
+    fn create_new(&self, path: &str) -> io::Result<()>;
 
     /// Append `data` to `path` (creating it if missing); returns the
     /// offset at which the data landed.
@@ -79,19 +69,8 @@ pub trait Backend: Send + Sync {
     /// `to`. This is the commit primitive crash-safe rewrites build on
     /// (write to a temp path, then rename over the original): after a
     /// crash the destination holds either its old contents or the new
-    /// ones, never a torn mix.
-    ///
-    /// The default is a **non-atomic** copy-then-remove fallback for
-    /// backends that predate this method; real stores should override
-    /// it with a genuinely atomic rename (`rename(2)` on POSIX).
-    fn rename(&self, from: &str, to: &str) -> io::Result<()> {
-        let data = self.read_all(from)?;
-        self.create(to)?;
-        if !data.is_empty() {
-            self.append(to, &data)?;
-        }
-        self.remove(from)
-    }
+    /// ones, never a torn mix (`rename(2)` on POSIX).
+    fn rename(&self, from: &str, to: &str) -> io::Result<()>;
 
     /// Remove a file.
     fn remove(&self, path: &str) -> io::Result<()>;

@@ -23,8 +23,9 @@
 //! - **crash-stop**: once the cumulative appended-byte budget is
 //!   exhausted, the backend freezes at that exact byte state; every
 //!   subsequent operation fails until [`FaultyBackend::heal`] simulates
-//!   a reboot. Sweeping the budget over every byte boundary of a
-//!   workload exhaustively enumerates all power-loss states.
+//!   a restart. This models a process crash (one global prefix of the
+//!   appends in issue order), not power loss; sweeping the budget over
+//!   every byte boundary enumerates every such crash state.
 
 use crate::backend::Backend;
 use obs::{Counter, Registry};

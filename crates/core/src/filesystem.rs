@@ -11,15 +11,10 @@ use crate::container::{
     create_container, discover_droppings, is_container, read_meta, reserve_session, ContainerPaths,
 };
 use crate::fsck::{scrub, ScrubReport};
-use crate::metrics::PlfsMetrics;
+use crate::metrics::{OpArgs, PlfsMetrics, Probe, Telemetry};
 use crate::read::Reader;
-use crate::record::{err_token, OpLogRecorder};
 use crate::retry::{append_at_reliable, RetriedBackend, RetryPolicy};
 use crate::write::{Writer, WriterConfig};
-use obs::recorder::Recorder;
-use obs::timeseries::WindowSpec;
-use obs::trace::TraceSink;
-use obs::{Clock, Registry};
 use std::io;
 use std::sync::Arc;
 use workloads::oplog::{OpKind, OpResult};
@@ -33,32 +28,10 @@ pub struct PlfsConfig {
     /// Retry policy for metadata and read-side backend operations
     /// (the write path uses `writer.retry`).
     pub retry: RetryPolicy,
-    /// Registry this instance records into. Cloning a `Registry` shares
-    /// it, so pass an experiment-wide registry to collect `plfs.*` and
-    /// `retry.*` series alongside everything else; the default is a
-    /// private one.
-    pub metrics: Registry,
-    /// Causal trace sink shared by every handle of this instance
-    /// (disabled by default; spans are timed from the instance clock).
-    pub trace: TraceSink,
-    /// Op-log capture (see [`crate::record`]): when set, every
-    /// operation this instance performs on the recorder's logical file
-    /// is appended to the recorder. Off by default.
-    pub record: Option<Arc<OpLogRecorder>>,
-    /// Instance time source override. `None` (default) keeps the
-    /// classic logical clock starting at 1; pass `Some(Clock::wall())`
-    /// for live monitoring, where `plfs.*.lat_ns` and the windowed
-    /// meters should measure real time. Index ordering only needs
-    /// monotonicity, which both modes provide.
-    pub clock: Option<Clock>,
-    /// Flight-recorder probe shared by every handle (see
-    /// [`obs::recorder::Recorder`]); the hot paths poll it once per op.
-    /// Build it over this config's `metrics` registry (and the same
-    /// clock) so frames see the instance's series. Disabled by default.
-    pub flight: Recorder,
-    /// Window geometry for the live [`crate::metrics::PlfsMeters`];
-    /// `None` (default) disables windowed metering.
-    pub meters: Option<WindowSpec>,
+    /// Registry, clock, tracing, capture, flight recorder and meters
+    /// for every handle of this instance (see [`Telemetry`]). The
+    /// default records into a private registry with everything else off.
+    pub telemetry: Telemetry,
 }
 
 impl Default for PlfsConfig {
@@ -67,12 +40,7 @@ impl Default for PlfsConfig {
             hostdirs: 32,
             writer: WriterConfig::default(),
             retry: RetryPolicy::default(),
-            metrics: Registry::new(),
-            trace: TraceSink::disabled(),
-            record: None,
-            clock: None,
-            flight: Recorder::disabled(),
-            meters: None,
+            telemetry: Telemetry::default(),
         }
     }
 }
@@ -98,23 +66,11 @@ pub struct Plfs {
 
 impl Plfs {
     pub fn new(backend: Arc<dyn Backend>, mut cfg: PlfsConfig) -> Self {
+        let metrics = PlfsMetrics::new(&cfg.telemetry);
         // Bind both retry policies to the instance registry so masked /
         // surfaced / backoff counts land next to the plfs.* series.
-        cfg.retry = cfg.retry.bound_to(&cfg.metrics);
-        cfg.writer.retry = cfg.writer.retry.bound_to(&cfg.metrics);
-        // Index timestamps are sequence numbers by default, so the
-        // shared clock is logical; it starts at 1 so stamp 0 stays
-        // "never written". A wall clock (monotone too) may be swapped in
-        // for live monitoring.
-        let clock = cfg.clock.clone().unwrap_or_else(|| Clock::logical_at(1));
-        let metrics = PlfsMetrics::new_configured(
-            &cfg.metrics,
-            &clock,
-            cfg.trace.clone(),
-            cfg.record.clone(),
-            cfg.flight.clone(),
-            cfg.meters,
-        );
+        cfg.retry = cfg.retry.bound_to(&metrics.registry);
+        cfg.writer.retry = cfg.writer.retry.bound_to(&metrics.registry);
         Plfs { backend, cfg, metrics }
     }
 
@@ -143,40 +99,25 @@ impl Plfs {
         RetriedBackend::new(self.backend.as_ref(), &self.cfg.retry)
     }
 
-    /// Append one op to the capture log, if capture is on.
-    fn record(
+    /// Run metadata op `kind` inside its telemetry scope.
+    fn meta<T>(
         &self,
         logical: &str,
         rank: u32,
-        op: OpKind,
-        offset: u64,
-        len: u64,
-        result: OpResult,
-    ) {
-        if let Some(rec) = &self.metrics.recorder {
-            rec.record(logical, rank, op, offset, len, result);
-        }
-    }
-
-    /// `Ok`/`err:<kind>` result of a metadata op, recorded pass-through.
-    fn record_meta<T>(
-        &self,
-        logical: &str,
-        op: OpKind,
-        len: u64,
-        res: io::Result<T>,
+        kind: OpKind,
+        op: impl FnOnce() -> io::Result<T>,
     ) -> io::Result<T> {
-        match &res {
-            Ok(_) => self.record(logical, 0, op, 0, len, OpResult::Ok),
-            Err(e) => self.record(logical, 0, op, 0, len, err_token(e)),
-        }
+        let scope = self.metrics.op(kind, Some(rank), Probe::Full);
+        let res = op();
+        scope.finish(&self.metrics, &res, OpArgs::meta(logical), |_| OpResult::Ok);
         res
     }
 
     /// Create a logical file (container). Idempotent.
     pub fn create(&self, logical: &str) -> io::Result<()> {
-        let res = create_container(&self.retried(), &self.paths(logical));
-        self.record_meta(logical, OpKind::Create, 0, res)
+        self.meta(logical, 0, OpKind::Create, || {
+            create_container(&self.retried(), &self.paths(logical))
+        })
     }
 
     /// Does the logical file exist?
@@ -186,32 +127,28 @@ impl Plfs {
 
     /// Open a write handle for `rank`, creating the container if needed.
     pub fn open_writer(&self, logical: &str, rank: u32) -> io::Result<Writer> {
-        let paths = self.paths(logical);
-        if !self.exists(logical) {
-            create_container(&self.retried(), &paths)?;
-        }
-        // Atomically reserve this session *before* computing its epoch
-        // floor. The old read-then-compute over `session_count` let two
-        // concurrent opens read the same count and mint colliding stamp
-        // epochs, silently corrupting overwrite resolution; the CAS
-        // marker makes every reservation globally unique.
-        let session = reserve_session(&self.retried(), &paths)?;
-        // A new session's stamps must exceed everything already stored:
-        // reserve a fresh epoch in the high bits.
-        let epoch_floor = (session + 1) << 40;
-        self.metrics.clock.advance_to(epoch_floor);
-        // Decorrelate this writer's retry backoff from its siblings: a
-        // swarm stalled on the same group commit must not re-hit the
-        // backend in lockstep.
-        let mut wcfg = self.cfg.writer.clone();
-        wcfg.retry = wcfg.retry.with_jitter_seed(session + 1);
-        let res =
-            Writer::new(self.backend.clone(), paths, wcfg, rank, self.metrics.clone(), session);
-        match &res {
-            Ok(_) => self.record(logical, rank, OpKind::OpenWriter, 0, 0, OpResult::Ok),
-            Err(e) => self.record(logical, rank, OpKind::OpenWriter, 0, 0, err_token(e)),
-        }
-        res
+        self.meta(logical, rank, OpKind::OpenWriter, || {
+            let paths = self.paths(logical);
+            if !self.exists(logical) {
+                create_container(&self.retried(), &paths)?;
+            }
+            // Atomically reserve this session *before* computing its
+            // epoch floor. The old read-then-compute over
+            // `session_count` let two concurrent opens read the same
+            // count and mint colliding stamp epochs, silently corrupting
+            // overwrite resolution; the CAS marker makes every
+            // reservation globally unique.
+            let session = reserve_session(&self.retried(), &paths)?;
+            // A new session's stamps must exceed everything already
+            // stored: reserve a fresh epoch in the high bits.
+            self.metrics.clock.advance_to((session + 1) << 40);
+            // Decorrelate this writer's retry backoff from its siblings:
+            // a swarm stalled on the same group commit must not re-hit
+            // the backend in lockstep.
+            let mut wcfg = self.cfg.writer.clone();
+            wcfg.retry = wcfg.retry.with_jitter_seed(session + 1);
+            Writer::new(self.backend.clone(), paths, wcfg, rank, self.metrics.clone(), session)
+        })
     }
 
     /// Open a read handle (merges all indices).
@@ -223,47 +160,41 @@ impl Plfs {
     /// Only readers opened through this API record their ops — internal
     /// reads (stat's slow path, flatten) stay out of the log.
     pub fn open_reader_as(&self, logical: &str, rank: u32) -> io::Result<Reader> {
-        if !self.exists(logical) {
-            let e = io::Error::new(io::ErrorKind::NotFound, format!("no such file: {logical}"));
-            self.record(logical, rank, OpKind::OpenReader, 0, 0, err_token(&e));
-            return Err(e);
-        }
-        let res = Reader::open(
-            self.backend.clone(),
-            self.paths(logical),
-            self.cfg.retry.clone(),
-            self.metrics.clone(),
-        );
-        match res {
-            Ok(mut r) => {
-                r.enable_recording(rank);
-                self.record(logical, rank, OpKind::OpenReader, 0, 0, OpResult::Ok);
-                Ok(r)
-            }
-            Err(e) => {
-                self.record(logical, rank, OpKind::OpenReader, 0, 0, err_token(&e));
-                Err(e)
-            }
+        self.meta(logical, rank, OpKind::OpenReader, || {
+            let mut r = Reader::open(
+                self.backend.clone(),
+                self.existing(logical)?,
+                self.cfg.retry.clone(),
+                self.metrics.clone(),
+            )?;
+            r.enable_recording(rank);
+            Ok(r)
+        })
+    }
+
+    /// The container paths of `logical`, or `NotFound`.
+    fn existing(&self, logical: &str) -> io::Result<ContainerPaths> {
+        if self.exists(logical) {
+            Ok(self.paths(logical))
+        } else {
+            Err(io::Error::new(io::ErrorKind::NotFound, format!("no such file: {logical}")))
         }
     }
 
     /// `stat` without a full index merge when possible: closed
     /// containers answer from metadata droppings.
     pub fn stat(&self, logical: &str) -> io::Result<FileStat> {
+        let scope = self.metrics.op(OpKind::Stat, Some(0), Probe::Full);
         let res = self.stat_inner(logical);
         // `len` carries the observed size — stat's replay-checkable fact.
-        let size = res.as_ref().map(|s| s.size).unwrap_or(0);
-        self.record_meta(logical, OpKind::Stat, size, res)
+        let len = res.as_ref().map_or(0, |s| s.size);
+        scope
+            .finish(&self.metrics, &res, OpArgs { len, ..OpArgs::meta(logical) }, |_| OpResult::Ok);
+        res
     }
 
     fn stat_inner(&self, logical: &str) -> io::Result<FileStat> {
-        if !self.exists(logical) {
-            return Err(io::Error::new(
-                io::ErrorKind::NotFound,
-                format!("no such file: {logical}"),
-            ));
-        }
-        let paths = self.paths(logical);
+        let paths = self.existing(logical)?;
         let retried = self.retried();
         let metas = read_meta(&retried, &paths)?;
         let open_sessions =
@@ -288,12 +219,10 @@ impl Plfs {
 
     /// Remove a logical file and all its droppings.
     pub fn unlink(&self, logical: &str) -> io::Result<()> {
-        let res = if !self.exists(logical) {
-            Err(io::Error::new(io::ErrorKind::NotFound, format!("no such file: {logical}")))
-        } else {
+        self.meta(logical, 0, OpKind::Unlink, || {
+            self.existing(logical)?;
             self.cfg.retry.run(|| self.backend.remove_dir_all(logical.trim_end_matches('/')))
-        };
-        self.record_meta(logical, OpKind::Unlink, 0, res)
+        })
     }
 
     /// Checksum-walk a container's droppings on the bounded worker pool

@@ -1,10 +1,16 @@
-//! The PLFS instrumentation bundle.
+//! PLFS telemetry: one handle in, one instrumentation point per op.
 //!
-//! One [`PlfsMetrics`] is created per [`crate::Plfs`] instance and
-//! cloned (via `Arc`) into every writer and reader it hands out, so the
-//! whole stack records into a single [`Registry`] and stamps from a
-//! single [`Clock`] — the write path, read path, and retry layer share
-//! one time source instead of threading ad-hoc `Arc<AtomicU64>`s.
+//! [`Telemetry`] is the one observability field of [`crate::PlfsConfig`].
+//! [`PlfsMetrics::new`] turns it into the bundle every handle of an
+//! instance shares: one registry, one clock, and a flight recorder
+//! built over both.
+//!
+//! Each public operation runs inside one [`OpScope`]: opening it reads
+//! the clock and starts the op's span, `finish` emits the latency
+//! histogram, error counter, windowed meters, flight probe, capture
+//! record and span end. A scope never takes a clock stamp, so telemetry
+//! cannot move index timestamps; with everything off it costs a clock
+//! read, a histogram observe and a few branches.
 //!
 //! Series schema (all under the instance's registry):
 //!
@@ -49,14 +55,69 @@
 use crate::record::OpLogRecorder;
 use obs::recorder::Recorder;
 use obs::timeseries::{RateMeter, WindowHistogram, WindowSpec};
-use obs::trace::{TraceCtx, TraceSink};
+use obs::trace::{ActiveSpan, Phase, TraceCtx, TraceSink};
 use obs::{Clock, Counter, Histogram, Registry, Timer};
+use std::io;
 use std::sync::Arc;
+use workloads::oplog::{OpKind, OpResult};
 
-/// Windowed live meters for the hot paths: "how fast *right now*", as
-/// opposed to the cumulative registry series. One bundle per instance,
-/// shared by every handle; all four meters rotate on the instance
-/// clock, so in logical mode they window over logical ticks.
+/// The observability handle of one PLFS instance. The default records
+/// into a private registry with everything else off; `with_*` switch
+/// parts on.
+#[derive(Debug, Clone, Default)]
+pub struct Telemetry {
+    registry: Registry,
+    clock: Option<Clock>,
+    trace: TraceSink,
+    capture: Option<Arc<OpLogRecorder>>,
+    /// Flight-recorder cadence (clock units) and ring capacity.
+    flight: Option<(u64, usize)>,
+    meters: Option<WindowSpec>,
+}
+
+impl Telemetry {
+    /// Record into `registry` (shared, e.g. experiment-wide).
+    pub fn new(registry: &Registry) -> Self {
+        Telemetry { registry: registry.clone(), ..Default::default() }
+    }
+
+    /// Time source override. By default each instance gets a logical
+    /// clock starting at 1 (index stamps are sequence numbers; 0 means
+    /// "never written"). `Clock::wall()` makes latencies real time; index
+    /// ordering only needs the monotonicity both modes provide.
+    pub fn with_clock(mut self, clock: Clock) -> Self {
+        self.clock = Some(clock);
+        self
+    }
+
+    /// Causal trace sink; spans are timed from the instance clock.
+    pub fn with_trace(mut self, sink: TraceSink) -> Self {
+        self.trace = sink;
+        self
+    }
+
+    /// Op-log capture (see [`crate::record`]).
+    pub fn with_capture(mut self, recorder: Arc<OpLogRecorder>) -> Self {
+        self.capture = Some(recorder);
+        self
+    }
+
+    /// A flight recorder sampling the registry every `cadence_ns` clock
+    /// units into `capacity` frames; read it via [`PlfsMetrics::flight`].
+    pub fn with_flight(mut self, cadence_ns: u64, capacity: usize) -> Self {
+        self.flight = Some((cadence_ns, capacity));
+        self
+    }
+
+    /// Windowed live meters ([`PlfsMeters`]).
+    pub fn with_meters(mut self, spec: WindowSpec) -> Self {
+        self.meters = Some(spec);
+        self
+    }
+}
+
+/// Windowed live meters ("how fast *right now*") rotating on the
+/// instance clock, shared by every handle.
 #[derive(Debug, Clone)]
 pub struct PlfsMeters {
     /// Write ops (events) and bytes (weight) per window.
@@ -69,29 +130,13 @@ pub struct PlfsMeters {
     pub read_lat: WindowHistogram,
 }
 
-impl PlfsMeters {
-    pub fn new(clock: &Clock, spec: WindowSpec) -> Arc<Self> {
-        Arc::new(PlfsMeters {
-            write_rate: RateMeter::new(clock, spec),
-            read_rate: RateMeter::new(clock, spec),
-            write_lat: WindowHistogram::new(clock, spec),
-            read_lat: WindowHistogram::new(clock, spec),
-        })
-    }
-}
-
 /// Counter/histogram handles for one PLFS instance.
 #[derive(Debug, Clone)]
 pub struct PlfsMetrics {
-    /// The registry every series lives in (shared, clonable).
     pub registry: Registry,
-    /// The instance-wide time source: logical by default (index
-    /// timestamps are sequence numbers), wall if the caller wants real
-    /// span durations.
+    /// The instance time source; index stamps come from it.
     pub clock: Clock,
-    /// Causal trace handle (disabled unless built via
-    /// [`PlfsMetrics::new_traced`]); reads the clock without stamping,
-    /// so enabling tracing never perturbs index timestamps.
+    /// Spans read the clock without stamping it.
     pub trace: TraceCtx,
     pub write_ops: Counter,
     pub write_bytes: Counter,
@@ -124,57 +169,21 @@ pub struct PlfsMetrics {
     pub write_lat: Histogram,
     pub read_lat: Histogram,
     pub open_timer: Timer,
-    /// Op-log capture hook (see [`crate::record`]); `None` = capture
-    /// off, the default. Rides in the metrics bundle because writers
-    /// and readers already receive exactly this bundle.
-    pub recorder: Option<Arc<OpLogRecorder>>,
-    /// Flight-recorder probe (see [`obs::recorder`]): the hot paths
-    /// call `flight.maybe_sample()` once per op, which snapshots the
-    /// registry onto the recorder's ring whenever a cadence deadline
-    /// has passed. Disabled by default — the disabled probe is a single
-    /// branch on `None`.
+    /// Flight recorder over this bundle's registry and clock.
     pub flight: Recorder,
-    /// Windowed live meters ("ops/s over the last second"); `None` = off,
-    /// the default, costing one branch per op.
     pub meters: Option<Arc<PlfsMeters>>,
+    capture: Option<Arc<OpLogRecorder>>,
 }
 
 impl PlfsMetrics {
-    /// Handles registered in `registry`, stamping from `clock`.
-    pub fn new(registry: &Registry, clock: &Clock) -> Arc<Self> {
-        PlfsMetrics::new_traced(registry, clock, TraceSink::disabled())
-    }
-
-    /// [`PlfsMetrics::new`] with a trace sink: spans are timed from the
-    /// same `clock` the metrics stamp from.
-    pub fn new_traced(registry: &Registry, clock: &Clock, sink: TraceSink) -> Arc<Self> {
-        PlfsMetrics::new_full(registry, clock, sink, None)
-    }
-
-    /// The full bundle: trace sink plus optional op-log capture.
-    pub fn new_full(
-        registry: &Registry,
-        clock: &Clock,
-        sink: TraceSink,
-        recorder: Option<Arc<OpLogRecorder>>,
-    ) -> Arc<Self> {
-        PlfsMetrics::new_configured(registry, clock, sink, recorder, Recorder::disabled(), None)
-    }
-
-    /// Everything: trace sink, op-log capture, flight recorder, and
-    /// optional windowed meters (rotating on `clock`).
-    pub fn new_configured(
-        registry: &Registry,
-        clock: &Clock,
-        sink: TraceSink,
-        recorder: Option<Arc<OpLogRecorder>>,
-        flight: Recorder,
-        meter_window: Option<WindowSpec>,
-    ) -> Arc<Self> {
+    /// The bundle `telemetry` describes.
+    pub fn new(telemetry: &Telemetry) -> Arc<Self> {
+        let Telemetry { registry, clock, trace, capture, flight, meters } = telemetry;
+        let clock = clock.clone().unwrap_or_else(|| Clock::logical_at(1));
         Arc::new(PlfsMetrics {
             registry: registry.clone(),
             clock: clock.clone(),
-            trace: TraceCtx::new(sink, clock.clone()),
+            trace: TraceCtx::new(trace.clone(), clock.clone()),
             write_ops: registry.counter("plfs.write.ops"),
             write_bytes: registry.counter("plfs.write.bytes"),
             write_errors: registry.counter("plfs.write.errors"),
@@ -205,10 +214,20 @@ impl PlfsMetrics {
             read_parallelism: registry.histogram("plfs.read.parallelism"),
             write_lat: registry.histogram("plfs.write.lat_ns"),
             read_lat: registry.histogram("plfs.read.lat_ns"),
-            open_timer: registry.timer("plfs.read.open_ns", clock),
-            recorder,
-            flight,
-            meters: meter_window.map(|spec| PlfsMeters::new(clock, spec)),
+            open_timer: registry.timer("plfs.read.open_ns", &clock),
+            flight: match flight {
+                Some((cadence, capacity)) => Recorder::new(registry, &clock, *cadence, *capacity),
+                None => Recorder::disabled(),
+            },
+            meters: meters.map(|spec| {
+                Arc::new(PlfsMeters {
+                    write_rate: RateMeter::new(&clock, spec),
+                    read_rate: RateMeter::new(&clock, spec),
+                    write_lat: WindowHistogram::new(&clock, spec),
+                    read_lat: WindowHistogram::new(&clock, spec),
+                })
+            }),
+            capture: capture.clone(),
         })
     }
 
@@ -216,7 +235,128 @@ impl PlfsMetrics {
     /// clock starting at 0 — for tests and components used outside a
     /// [`crate::Plfs`] instance.
     pub fn detached() -> Arc<Self> {
-        PlfsMetrics::new(&Registry::new(), &Clock::logical())
+        PlfsMetrics::new(&Telemetry::default().with_clock(Clock::logical()))
+    }
+
+    /// Open the scope of one `kind` operation by `rank` (`None`: the op
+    /// stays out of the capture log, as internal readers' ops do).
+    pub(crate) fn op(&self, kind: OpKind, rank: Option<u32>, probe: Probe) -> OpScope {
+        let timed = probe != Probe::CaptureOnly && matches!(kind, OpKind::Write | OpKind::Read);
+        let span = match kind {
+            OpKind::Write => Some(("plfs.write_at", Phase::Compute)),
+            OpKind::Sync => Some(("plfs.sync", Phase::Compute)),
+            OpKind::Read => Some(("plfs.read", Phase::Transfer)),
+            _ => None,
+        }
+        .filter(|_| probe == Probe::Full && self.trace.enabled());
+        OpScope {
+            kind,
+            rank,
+            t0: timed.then(|| self.clock.now_nanos()),
+            span: span.map(|(name, phase)| {
+                let track = match kind {
+                    OpKind::Read => "plfs.read".to_string(),
+                    _ => self.rank_track(rank.unwrap_or(0)),
+                };
+                self.trace.start(name, phase, &track, 0)
+            }),
+        }
+    }
+
+    /// The trace track of writer `rank` (empty while tracing is off).
+    pub(crate) fn rank_track(&self, rank: u32) -> String {
+        if self.trace.enabled() {
+            format!("rank.{rank}")
+        } else {
+            String::new()
+        }
+    }
+}
+
+/// How much of its kind's telemetry an [`OpScope`] emits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Probe {
+    Full,
+    /// No span: the op touched no data (empty write, read at EOF).
+    NoSpan,
+    /// Capture only: the serial read oracle stays off the engine's
+    /// latency, error and meter series.
+    CaptureOnly,
+}
+
+/// A finished op's capture columns (`file`, `offset`, requested `len`)
+/// and the bytes it `moved` (the rate meters' weight).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpArgs<'a> {
+    pub file: &'a str,
+    pub offset: u64,
+    pub len: u64,
+    pub moved: u64,
+}
+
+impl<'a> OpArgs<'a> {
+    pub fn meta(file: &'a str) -> Self {
+        OpArgs { file, offset: 0, len: 0, moved: 0 }
+    }
+}
+
+/// One in-flight PLFS operation. It borrows nothing, so the op body may
+/// take `&mut self`; `finish` takes the bundle back.
+#[must_use = "an operation's telemetry is emitted by `finish`"]
+pub(crate) struct OpScope {
+    kind: OpKind,
+    rank: Option<u32>,
+    /// Start on the instance clock; `None` for untimed ops.
+    t0: Option<u64>,
+    span: Option<ActiveSpan>,
+}
+
+impl OpScope {
+    /// The op's span id, the parent of its child spans (0 when none).
+    pub(crate) fn span_id(&self) -> u64 {
+        self.span.as_ref().map_or(0, ActiveSpan::id)
+    }
+
+    /// Emit everything the op reports. `ok` renders a success for the
+    /// capture log and runs only while capture is on.
+    pub(crate) fn finish<T>(
+        self,
+        m: &PlfsMetrics,
+        res: &io::Result<T>,
+        args: OpArgs<'_>,
+        ok: impl FnOnce(&T) -> OpResult,
+    ) {
+        drop(self.span);
+        if let Some(t0) = self.t0 {
+            let dt = m.clock.now_nanos().saturating_sub(t0);
+            let write = self.kind == OpKind::Write;
+            let (lat, errors) =
+                if write { (&m.write_lat, &m.write_errors) } else { (&m.read_lat, &m.read_errors) };
+            lat.observe(dt);
+            if res.is_err() {
+                errors.inc();
+            }
+            match &m.meters {
+                Some(w) if write => {
+                    w.write_rate.mark(args.moved);
+                    w.write_lat.observe(dt);
+                }
+                // A failed read delivered nothing to meter.
+                Some(w) if res.is_ok() => {
+                    w.read_rate.mark(args.moved);
+                    w.read_lat.observe(dt);
+                }
+                _ => {}
+            }
+            m.flight.maybe_sample();
+        }
+        if let (Some(rec), Some(rank)) = (&m.capture, self.rank) {
+            let result = match res {
+                Ok(v) => ok(v),
+                Err(e) => OpResult::Err(format!("{:?}", e.kind())),
+            };
+            rec.record(args.file, rank, self.kind, args.offset, args.len, result);
+        }
     }
 }
 
@@ -228,7 +368,7 @@ mod tests {
     fn handles_record_into_shared_registry() {
         let reg = Registry::new();
         let clock = Clock::logical_at(5);
-        let m = PlfsMetrics::new(&reg, &clock);
+        let m = PlfsMetrics::new(&Telemetry::new(&reg).with_clock(clock.clone()));
         m.write_ops.inc();
         m.write_bytes.add(100);
         m.merge_fanin.observe(8);

@@ -32,7 +32,7 @@ use crate::canonical::{freshness, CanonicalIndex, Tail};
 use crate::checksum::{crc32, parse_chk};
 use crate::container::{discover_droppings, epoch_watermark, ContainerPaths};
 use crate::index::{decode, IndexEntry, IndexMap};
-use crate::metrics::PlfsMetrics;
+use crate::metrics::{OpArgs, PlfsMetrics, Probe};
 use crate::pool;
 use crate::retry::{IntegrityError, RetriedBackend, RetryPolicy};
 use obs::trace::Phase;
@@ -366,21 +366,24 @@ impl Reader {
         self.record_rank = rank.into();
     }
 
-    /// Capture one delivered read: requested length in the len column,
-    /// delivered count + CRC32 of the delivered bytes in the result.
-    fn record_read(&self, offset: u64, requested: usize, delivered: &[u8]) {
-        if let Some(rank) = self.record_rank {
-            if let Some(rec) = &self.metrics.recorder {
-                rec.record(
-                    self.paths.base(),
-                    rank,
-                    OpKind::Read,
-                    offset,
-                    requested as u64,
-                    OpResult::Read { got: delivered.len() as u64, crc: crc32(delivered) },
-                );
-            }
-        }
+    /// Run one read inside its telemetry scope. Capture records the
+    /// delivered count and the CRC32 of the delivered bytes.
+    fn read_scoped(
+        &self,
+        probe: Probe,
+        offset: u64,
+        buf: &mut [u8],
+        read: impl FnOnce(&mut [u8], u64) -> io::Result<usize>,
+    ) -> io::Result<usize> {
+        let scope = self.metrics.op(OpKind::Read, self.record_rank, probe);
+        let res = read(buf, scope.span_id());
+        let moved = *res.as_ref().unwrap_or(&0) as u64;
+        let args = OpArgs { file: self.paths.base(), offset, len: buf.len() as u64, moved };
+        scope.finish(&self.metrics, &res, args, |&n| OpResult::Read {
+            got: n as u64,
+            crc: crc32(&buf[..n]),
+        });
+        res
     }
 
     /// Tune the per-dropping readahead (bytes; 0 disables over-reads).
@@ -517,36 +520,19 @@ impl Reader {
     /// into `buf`. `plfs.read.bytes` counts only bytes actually
     /// delivered: a failed read contributes nothing.
     pub fn read_at(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
-        let t0 = self.metrics.clock.now_nanos();
-        let res = self.read_at_uninstrumented(offset, buf);
-        let dt = self.metrics.clock.now_nanos().saturating_sub(t0);
-        self.metrics.read_lat.observe(dt);
-        match &res {
-            Ok(n) => {
-                if let Some(m) = &self.metrics.meters {
-                    m.read_rate.mark(*n as u64);
-                    m.read_lat.observe(dt);
-                }
-            }
-            Err(_) => self.metrics.read_errors.inc(),
-        }
-        self.metrics.flight.maybe_sample();
-        res
+        let probe = if offset < self.map.eof() { Probe::Full } else { Probe::NoSpan };
+        self.read_scoped(probe, offset, buf, |buf, root_id| self.read_engine(offset, buf, root_id))
     }
 
-    fn read_at_uninstrumented(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+    fn read_engine(&self, offset: u64, buf: &mut [u8], root_id: u64) -> io::Result<usize> {
         let eof = self.map.eof();
-        let requested = buf.len();
         self.metrics.read_ops.inc();
         if offset >= eof {
-            self.record_read(offset, requested, &[]);
             return Ok(0);
         }
         let want = (buf.len() as u64).min(eof - offset) as usize;
         let mut rest = &mut buf[..want];
         let pieces = self.map.lookup(offset, want as u64);
-        let root = self.metrics.trace.start("plfs.read", Phase::Transfer, "plfs.read", 0);
-        let root_id = root.id();
 
         // One pass over the pieces — they tile `[offset, offset+want)`
         // in logical order, so the caller's buffer is peeled into
@@ -602,10 +588,6 @@ impl Reader {
             self.metrics.read_coalesced_bytes.add(coalesced);
         }
         self.metrics.read_bytes.add(want as u64);
-        root.end();
-        // The batch borrows end here; capture sees the delivered bytes.
-        drop(jobs);
-        self.record_read(offset, requested, &buf[..want]);
         Ok(want)
     }
 
@@ -721,11 +703,13 @@ impl Reader {
     /// measures against. Same POSIX semantics as [`Reader::read_at`]
     /// (short reads looped, holes zeroed, bytes counted on delivery).
     pub fn read_at_serial(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
+        self.read_scoped(Probe::CaptureOnly, offset, buf, |buf, _| self.read_serial(offset, buf))
+    }
+
+    fn read_serial(&self, offset: u64, buf: &mut [u8]) -> io::Result<usize> {
         let eof = self.map.eof();
-        let requested = buf.len();
         self.metrics.read_ops.inc();
         if offset >= eof {
-            self.record_read(offset, requested, &[]);
             return Ok(0);
         }
         let want = (buf.len() as u64).min(eof - offset) as usize;
@@ -752,7 +736,6 @@ impl Reader {
         }
         self.metrics.read_backend_ops.add(ops);
         self.metrics.read_bytes.add(want as u64);
-        self.record_read(offset, requested, &buf[..want]);
         Ok(want)
     }
 
@@ -794,11 +777,9 @@ impl Drop for Reader {
     fn drop(&mut self) {
         // Capture-visible readers bracket their reads with rclose so a
         // replayed log tears down read handles where the capture did.
-        if let Some(rank) = self.record_rank {
-            if let Some(rec) = &self.metrics.recorder {
-                rec.record(self.paths.base(), rank, OpKind::CloseReader, 0, 0, OpResult::Ok);
-            }
-        }
+        let scope = self.metrics.op(OpKind::CloseReader, self.record_rank, Probe::Full);
+        let ok: io::Result<()> = Ok(());
+        scope.finish(&self.metrics, &ok, OpArgs::meta(self.paths.base()), |_| OpResult::Ok);
     }
 }
 
@@ -966,6 +947,7 @@ mod tests {
     use super::*;
     use crate::backend::MemBackend;
     use crate::container::{create_container, ContainerPaths};
+    use crate::metrics::Telemetry;
     use crate::write::{Writer, WriterConfig};
 
     fn setup(hostdirs: u32) -> (Arc<MemBackend>, ContainerPaths, Arc<PlfsMetrics>) {
@@ -1282,6 +1264,9 @@ mod tests {
         fn create(&self, path: &str) -> io::Result<()> {
             self.0.create(path)
         }
+        fn create_new(&self, path: &str) -> io::Result<()> {
+            self.0.create_new(path)
+        }
         fn append(&self, path: &str, data: &[u8]) -> io::Result<u64> {
             self.0.append(path, data)
         }
@@ -1297,6 +1282,9 @@ mod tests {
         }
         fn exists(&self, path: &str) -> bool {
             self.0.exists(path)
+        }
+        fn rename(&self, from: &str, to: &str) -> io::Result<()> {
+            self.0.rename(from, to)
         }
         fn remove(&self, path: &str) -> io::Result<()> {
             self.0.remove(path)
@@ -1501,8 +1489,9 @@ mod tests {
             w.close().unwrap();
         }
         let sink = TraceSink::bounded(4096);
-        let rm =
-            PlfsMetrics::new_traced(&obs::Registry::new(), &obs::Clock::logical(), sink.clone());
+        let rm = PlfsMetrics::new(
+            &Telemetry::default().with_clock(obs::Clock::logical()).with_trace(sink.clone()),
+        );
         let r = Reader::open(b.clone() as Arc<dyn Backend>, p.clone(), RetryPolicy::none(), rm)
             .unwrap();
         let _ = r.read_all().unwrap();
@@ -1526,8 +1515,9 @@ mod tests {
             w.close().unwrap();
         }
         let sink = TraceSink::bounded(4096);
-        let rm =
-            PlfsMetrics::new_traced(&obs::Registry::new(), &obs::Clock::logical(), sink.clone());
+        let rm = PlfsMetrics::new(
+            &Telemetry::default().with_clock(obs::Clock::logical()).with_trace(sink.clone()),
+        );
         let _ = Reader::open(b.clone() as Arc<dyn Backend>, p.clone(), RetryPolicy::none(), rm)
             .unwrap();
         let spans = sink.snapshot();
@@ -1692,8 +1682,9 @@ mod tests {
         w.write_at(0, &[8u8; 2000]).unwrap();
         w.close().unwrap();
         let sink = TraceSink::bounded(4096);
-        let rm =
-            PlfsMetrics::new_traced(&obs::Registry::new(), &obs::Clock::logical(), sink.clone());
+        let rm = PlfsMetrics::new(
+            &Telemetry::default().with_clock(obs::Clock::logical()).with_trace(sink.clone()),
+        );
         let r = Reader::open(b.clone() as Arc<dyn Backend>, p.clone(), RetryPolicy::none(), rm)
             .unwrap();
         let mut buf = vec![0u8; 2000];

@@ -1,7 +1,7 @@
 //! Op-log capture: the recording half of workload capture & replay.
 //!
 //! An [`OpLogRecorder`] is attached to a [`crate::Plfs`] instance via
-//! [`crate::PlfsConfig::record`]; every writer, reader, and metadata
+//! [`crate::Telemetry::with_capture`]; every writer, reader, and metadata
 //! operation the instance performs is appended as one
 //! [`workloads::oplog::OpRecord`]. The recorder captures one logical
 //! file per log (the op-log format is per-file); operations on other
@@ -23,11 +23,9 @@
 //! under the recorder lock at completion time — so the captured log is
 //! timestamp-ordered by construction and always parses back.
 //!
-//! Failed data reads are not recorded (the error surfaces to the
-//! caller); failed writes and metadata ops record an `err:<kind>`
-//! result.
+//! A failed operation of any kind, reads included, records an
+//! `err:<kind>` result; the error still surfaces to the caller.
 
-use std::io;
 use std::sync::Mutex;
 use std::time::Instant;
 use workloads::oplog::{OpKind, OpLog, OpRecord, OpResult, Shape};
@@ -157,11 +155,6 @@ impl OpLogRecorder {
         let ranks = ops.iter().map(|o| o.rank + 1).max().unwrap_or(0);
         OpLog { file, ranks, shape: self.shape, ops }
     }
-}
-
-/// Render an `io::Error` as a compact single-token result kind.
-pub(crate) fn err_token(e: &io::Error) -> OpResult {
-    OpResult::Err(format!("{:?}", e.kind()))
 }
 
 #[cfg(test)]

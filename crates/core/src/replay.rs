@@ -408,7 +408,7 @@ pub fn replay(fs: &Plfs, log: &OpLog, opts: &ReplayOptions) -> io::Result<Replay
     let delivered_hash = replayed.delivered_hash();
     let content = content_hash(fs, log)?;
 
-    let reg = &fs.config().metrics;
+    let reg = &fs.metrics().registry;
     reg.counter("replay.ops").add(n as u64);
     reg.counter("replay.errors").add(errors);
     reg.counter("replay.epochs").add(epochs.len() as u64);
@@ -600,7 +600,7 @@ mod tests {
         let fs = mem_fs();
         let log = generate(Scenario::NN, &small_cfg());
         let out = replay(&fs, &log, &ReplayOptions::default()).unwrap();
-        let reg = &fs.config().metrics;
+        let reg = &fs.metrics().registry;
         assert_eq!(reg.value("replay.ops"), Some(out.ops));
         assert_eq!(reg.value("replay.write_bytes"), Some(out.write_bytes));
         assert!(reg.value("plfs.write.bytes").unwrap() > 0, "replayed ops emit plfs.* too");

@@ -507,12 +507,13 @@ mod tests {
     use super::*;
     use crate::backend::{Backend, MemBackend};
     use crate::filesystem::{Plfs, PlfsConfig};
+    use crate::metrics::Telemetry;
     use obs::Registry;
 
     fn service_fs(reg: &Registry) -> Plfs {
         Plfs::new(
             Arc::new(MemBackend::new()) as Arc<dyn Backend>,
-            PlfsConfig { hostdirs: 4, metrics: reg.clone(), ..Default::default() },
+            PlfsConfig { hostdirs: 4, telemetry: Telemetry::new(reg), ..Default::default() },
         )
     }
 
@@ -636,7 +637,8 @@ mod tests {
         use crate::retry::RetryPolicy;
         let reg = Registry::new();
         let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(7)));
-        let mut cfg = PlfsConfig { hostdirs: 4, metrics: reg.clone(), ..Default::default() };
+        let mut cfg =
+            PlfsConfig { hostdirs: 4, telemetry: Telemetry::new(&reg), ..Default::default() };
         cfg.retry = RetryPolicy::none();
         cfg.writer.retry = RetryPolicy::none();
         let fs = Plfs::new(faulty.clone() as Arc<dyn Backend>, cfg);

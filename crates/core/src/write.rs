@@ -15,8 +15,7 @@ use crate::backend::Backend;
 use crate::checksum::{chk_header, ChkBuilder, VERIFY_BLOCK};
 use crate::container::ContainerPaths;
 use crate::index::{encode_compressed, encode_raw, IndexEntry};
-use crate::metrics::PlfsMetrics;
-use crate::record::err_token;
+use crate::metrics::{OpArgs, PlfsMetrics, Probe};
 use crate::retry::{append_at_reliable, append_at_reliable_traced, len_or_zero, RetryPolicy};
 use obs::trace::Phase;
 use std::io;
@@ -239,15 +238,6 @@ impl Writer {
         self.stats
     }
 
-    /// Trace track naming this writer's logical thread.
-    fn track(&self) -> String {
-        if self.metrics.trace.enabled() {
-            format!("rank.{}", self.rank)
-        } else {
-            String::new()
-        }
-    }
-
     /// Write `data` at logical offset `offset` — O(1) regardless of the
     /// logical layout: one log append plus one index record.
     pub fn write_at(&mut self, offset: u64, data: &[u8]) -> io::Result<()> {
@@ -266,45 +256,29 @@ impl Writer {
     }
 
     fn write_at_opt(&mut self, offset: u64, data: &[u8], ts: Option<u64>) -> io::Result<()> {
-        let t0 = self.metrics.clock.now_nanos();
-        let res = self.write_at_inner(offset, data, ts);
-        let dt = self.metrics.clock.now_nanos().saturating_sub(t0);
-        self.metrics.write_lat.observe(dt);
-        if res.is_err() {
-            self.metrics.write_errors.inc();
-        }
-        if let Some(m) = &self.metrics.meters {
-            m.write_rate.mark(data.len() as u64);
-            m.write_lat.observe(dt);
-        }
-        self.metrics.flight.maybe_sample();
-        if let Some(rec) = &self.metrics.recorder {
-            let result = match &res {
-                Ok(used) => OpResult::Write { stamp: *used },
-                Err(e) => err_token(e),
-            };
-            rec.record(
-                self.paths.base(),
-                self.rank,
-                OpKind::Write,
-                offset,
-                data.len() as u64,
-                result,
-            );
-        }
+        let probe = if data.is_empty() { Probe::NoSpan } else { Probe::Full };
+        let scope = self.metrics.op(OpKind::Write, Some(self.rank), probe);
+        let res = self.write_at_inner(offset, data, ts, scope.span_id());
+        let len = data.len() as u64;
+        let args = OpArgs { file: self.paths.base(), offset, len, moved: len };
+        scope.finish(&self.metrics, &res, args, |&stamp| OpResult::Write { stamp });
         res.map(|_| ())
     }
 
     /// Returns the index stamp the write used (caller-supplied, or
     /// freshly taken from the instance clock).
-    fn write_at_inner(&mut self, offset: u64, data: &[u8], ts: Option<u64>) -> io::Result<u64> {
+    fn write_at_inner(
+        &mut self,
+        offset: u64,
+        data: &[u8],
+        ts: Option<u64>,
+        op_id: u64,
+    ) -> io::Result<u64> {
         assert!(!self.closed, "write on closed Writer");
         if data.is_empty() {
             return Ok(ts.unwrap_or(0));
         }
-        let op = self.metrics.trace.start("plfs.write_at", Phase::Compute, &self.track(), 0);
-        let op_id = op.id();
-        // A fresh stamp is taken *inside* the span: on the logical
+        // A fresh stamp is taken *inside* the op's span: on the logical
         // clock, span durations are measured in stamps.
         let ts = ts.unwrap_or_else(|| self.metrics.clock.stamp());
         let phys = self.cursor;
@@ -344,7 +318,7 @@ impl Writer {
     /// uncertain so the next attempt re-measures instead of duplicating.
     fn append_data(&mut self, base: u64, data: &[u8], parent: u64) -> io::Result<()> {
         let path = self.paths.data_dropping(self.rank);
-        let track = self.track();
+        let track = self.metrics.rank_track(self.rank);
         let span = self.metrics.trace.start("plfs.data_append", Phase::Transfer, &track, parent);
         let res = append_at_reliable_traced(
             self.backend.as_ref(),
@@ -423,7 +397,7 @@ impl Writer {
 
     fn append_index_bytes(&mut self, encoded: &[u8], parent: u64) -> io::Result<()> {
         let path = self.paths.index_dropping(self.rank);
-        let track = self.track();
+        let track = self.metrics.rank_track(self.rank);
         let span = self.metrics.trace.start("plfs.index_append", Phase::Transfer, &track, parent);
         let res = append_at_reliable_traced(
             self.backend.as_ref(),
@@ -458,8 +432,8 @@ impl Writer {
         if self.chk.is_none() && self.chki.is_none() {
             return Ok(());
         }
-        let span =
-            self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &self.track(), parent);
+        let track = self.metrics.rank_track(self.rank);
+        let span = self.metrics.trace.start("plfs.chk_append", Phase::Transfer, &track, parent);
         let mut res = Ok(());
         for sc in [&mut self.chk, &mut self.chki].into_iter().flatten() {
             let r = flush_sidecar(self.backend.as_ref(), &self.cfg.retry, sc);
@@ -494,26 +468,21 @@ impl Writer {
 
     /// Flush everything to the backing store.
     pub fn sync(&mut self) -> io::Result<()> {
-        let span = self.metrics.trace.start("plfs.sync", Phase::Compute, &self.track(), 0);
-        let id = span.id();
+        let scope = self.metrics.op(OpKind::Sync, Some(self.rank), Probe::Full);
+        let id = scope.span_id();
         let res = (|| {
             self.flush_data(id)?;
             self.flush_index(id)?;
             self.flush_sidecars(id)
         })();
-        if let Some(rec) = &self.metrics.recorder {
-            let result = match &res {
-                Ok(()) => OpResult::Ok,
-                Err(e) => err_token(e),
-            };
-            rec.record(self.paths.base(), self.rank, OpKind::Sync, 0, 0, result);
-        }
+        scope.finish(&self.metrics, &res, OpArgs::meta(self.paths.base()), |_| OpResult::Ok);
         res
     }
 
     /// Close the handle: flush, drop the openhosts dropping, and leave
     /// a metadata summary so later opens can shortcut stat calls.
     pub fn close(mut self) -> io::Result<WriterStats> {
+        let scope = self.metrics.op(OpKind::CloseWriter, Some(self.rank), Probe::Full);
         let res = (|| {
             self.sync()?;
             self.seal_sidecars()?;
@@ -525,13 +494,7 @@ impl Writer {
             self.closed = true;
             Ok(())
         })();
-        if let Some(rec) = &self.metrics.recorder {
-            let result = match &res {
-                Ok(()) => OpResult::Ok,
-                Err(e) => err_token(e),
-            };
-            rec.record(self.paths.base(), self.rank, OpKind::CloseWriter, 0, 0, result);
-        }
+        scope.finish(&self.metrics, &res, OpArgs::meta(self.paths.base()), |_| OpResult::Ok);
         res.map(|()| self.stats)
     }
 }

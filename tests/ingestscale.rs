@@ -13,7 +13,7 @@ use pdsi::plfs::backend::{Backend, MemBackend};
 use pdsi::plfs::container::{create_container, epoch_watermark, reserve_session};
 use pdsi::plfs::record::OpLogRecorder;
 use pdsi::plfs::replay::{differential, ReplayMode, ReplayOptions};
-use pdsi::plfs::{pool, ContainerPaths, IngestService, Plfs, PlfsConfig, ServiceConfig};
+use pdsi::plfs::{pool, ContainerPaths, IngestService, Plfs, PlfsConfig, ServiceConfig, Telemetry};
 use pdsi::workloads::oplog::{fill_payload, OpKind};
 use pdsi::workloads::swarm::{plan, SwarmConfig, SwarmPlan};
 use pdsi::workloads::SizeDist;
@@ -176,8 +176,13 @@ fn service_capture_differentially_replays_against_single_writer_engine() {
     let swarm = small_swarm();
     let recorder = Arc::new(OpLogRecorder::for_file("/swarm"));
     let backend = Arc::new(MemBackend::new()) as Arc<dyn Backend>;
-    let fs =
-        Plfs::new(backend, PlfsConfig { record: Some(recorder.clone()), ..Default::default() });
+    let fs = Plfs::new(
+        backend,
+        PlfsConfig {
+            telemetry: Telemetry::default().with_capture(recorder.clone()),
+            ..Default::default()
+        },
+    );
     let svc =
         IngestService::start(&fs, "/swarm", ServiceConfig { shards: 4, ..Default::default() })
             .unwrap();

@@ -5,7 +5,7 @@
 
 use pdsi::obs::{json, Registry};
 use pdsi::plfs::backend::{Backend, MemBackend};
-use pdsi::plfs::{Plfs, PlfsConfig};
+use pdsi::plfs::{Plfs, PlfsConfig, Telemetry};
 use std::sync::Arc;
 
 /// The ISSUE's exact masking invariant, on the `repro faults` scenario:
@@ -53,7 +53,7 @@ fn plfs_counters_track_write_and_read_path() {
     let reg = Registry::new();
     let fs = Plfs::new(
         Arc::new(MemBackend::new()) as Arc<dyn Backend>,
-        PlfsConfig { metrics: reg.clone(), ..Default::default() },
+        PlfsConfig { telemetry: Telemetry::new(&reg), ..Default::default() },
     );
     for rank in 0..4u32 {
         let mut w = fs.open_writer("/ckpt", rank).unwrap();
@@ -91,7 +91,11 @@ fn read_bytes_counts_only_delivered_bytes() {
     let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(11)));
     let fs = Plfs::new(
         faulty.clone() as Arc<dyn Backend>,
-        PlfsConfig { metrics: reg.clone(), retry: RetryPolicy::none(), ..Default::default() },
+        PlfsConfig {
+            telemetry: Telemetry::new(&reg),
+            retry: RetryPolicy::none(),
+            ..Default::default()
+        },
     );
     let mut w = fs.open_writer("/ckpt", 0).unwrap();
     w.write_at(0, &[7u8; 512]).unwrap();
@@ -130,7 +134,7 @@ fn corruption_is_never_counted_as_a_masked_transient() {
     let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(23)));
     let fs = Plfs::new(
         faulty.clone() as Arc<dyn Backend>,
-        PlfsConfig { metrics: reg.clone(), ..Default::default() },
+        PlfsConfig { telemetry: Telemetry::new(&reg), ..Default::default() },
     );
     let mut w = fs.open_writer("/ckpt", 0).unwrap();
     w.write_at(0, &[1u8; 2048]).unwrap();

@@ -18,16 +18,16 @@ use std::time::Instant;
 use obs::recorder::Recorder;
 use obs::{Clock, Registry};
 use plfs::backend::{Backend, MemBackend};
-use plfs::{Plfs, PlfsConfig};
+use plfs::{Plfs, PlfsConfig, Telemetry};
 
 const RANKS: u32 = 8;
 const WRITES_PER_RANK: u64 = 128;
 const RECORD: usize = 16 * 1024;
 
 /// One checkpoint write (strided N-1) and one full read-back through a
-/// PLFS instance with the given flight recorder attached.
-fn workload(flight: Recorder, clock: Option<Clock>) -> std::time::Duration {
-    let cfg = PlfsConfig { flight, clock, ..Default::default() };
+/// PLFS instance with the flight recorder disabled.
+fn workload() -> std::time::Duration {
+    let cfg = PlfsConfig::default();
     let fs = Plfs::new(Arc::new(MemBackend::new()) as Arc<dyn Backend>, cfg);
     let buf = vec![0x5Au8; RECORD];
     let t0 = Instant::now();
@@ -78,7 +78,7 @@ fn disabled_flight_recorder_costs_under_five_percent_of_workload() {
     // Untraced workload wall time, best of three runs.
     let mut wall = std::time::Duration::MAX;
     for _ in 0..3 {
-        wall = wall.min(workload(Recorder::disabled(), None));
+        wall = wall.min(workload());
     }
 
     let off = Recorder::disabled();
@@ -104,7 +104,7 @@ fn disabled_flight_recorder_costs_under_five_percent_of_workload() {
 fn hundred_ms_cadence_recorder_stays_under_budget() {
     let mut wall = std::time::Duration::MAX;
     for _ in 0..3 {
-        wall = wall.min(workload(Recorder::disabled(), None));
+        wall = wall.min(workload());
     }
 
     // Not-due probe cost on an *enabled* recorder: a clock read plus a
@@ -122,7 +122,7 @@ fn hundred_ms_cadence_recorder_stays_under_budget() {
     // registry (every PLFS series the instrumented run would carry).
     let populated = Registry::new();
     {
-        let cfg = PlfsConfig { metrics: populated.clone(), ..Default::default() };
+        let cfg = PlfsConfig { telemetry: Telemetry::new(&populated), ..Default::default() };
         let fs = Plfs::new(Arc::new(MemBackend::new()) as Arc<dyn Backend>, cfg);
         let mut w = fs.open_writer("/x", 0).unwrap();
         w.write_at(0, b"warm").unwrap();
@@ -161,16 +161,12 @@ fn live_recorder_captures_frames_from_the_hot_path() {
     // Integration smoke: with a real (wall-clock, short-cadence)
     // recorder wired through PlfsConfig, the write/read-path probes
     // alone must produce frames — no explicit sample_now anywhere.
-    let reg = Registry::new();
-    let clock = Clock::wall();
-    let flight = Recorder::new(&reg, &clock, 250_000, 1024); // 250 us
     let cfg = PlfsConfig {
-        metrics: reg.clone(),
-        clock: Some(clock.clone()),
-        flight: flight.clone(),
+        telemetry: Telemetry::default().with_clock(Clock::wall()).with_flight(250_000, 1024), // 250 us
         ..Default::default()
     };
     let fs = Plfs::new(Arc::new(MemBackend::new()) as Arc<dyn Backend>, cfg);
+    let flight = fs.metrics().flight.clone();
     let buf = vec![0xC3u8; RECORD];
     for r in 0..RANKS {
         let mut w = fs.open_writer("/ckpt", r).unwrap();

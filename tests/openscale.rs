@@ -6,7 +6,7 @@
 
 use pdsi::obs::Registry;
 use pdsi::plfs::backend::{Backend, MemBackend};
-use pdsi::plfs::{Plfs, PlfsConfig};
+use pdsi::plfs::{Plfs, PlfsConfig, Telemetry};
 use std::sync::Arc;
 
 /// The ISSUE's headline number: at 64 ranks x 10k entries/rank the
@@ -65,8 +65,10 @@ fn warm_open_serves_from_cache_with_zero_raw_entries() {
 
     let open = || {
         let reg = Registry::new();
-        let fs =
-            Plfs::new(backend.clone(), PlfsConfig { metrics: reg.clone(), ..Default::default() });
+        let fs = Plfs::new(
+            backend.clone(),
+            PlfsConfig { telemetry: Telemetry::new(&reg), ..Default::default() },
+        );
         (fs.open_reader("/ckpt").unwrap(), reg)
     };
 

@@ -10,7 +10,7 @@
 use pdsi::plfs::backend::{Backend, MemBackend};
 use pdsi::plfs::record::OpLogRecorder;
 use pdsi::plfs::replay::{content_hash, differential, path_for, replay, ReplayMode, ReplayOptions};
-use pdsi::plfs::{FaultPlan, FaultyBackend, Plfs, PlfsConfig, RetryPolicy};
+use pdsi::plfs::{FaultPlan, FaultyBackend, Plfs, PlfsConfig, RetryPolicy, Telemetry};
 use pdsi::workloads::gen::{generate, GenConfig, Scenario, SCENARIOS};
 use pdsi::workloads::oplog::{fill_payload, OpKind, OpLog, OpResult, Shape};
 use pdsi::workloads::sample::{ArrivalDist, SizeDist};
@@ -74,7 +74,10 @@ fn capture_replay_round_trip_over_generator_grid() {
             let capture_backend = Arc::new(MemBackend::new()) as Arc<dyn Backend>;
             let capture_fs = Plfs::new(
                 capture_backend,
-                PlfsConfig { record: Some(recorder.clone()), ..Default::default() },
+                PlfsConfig {
+                    telemetry: Telemetry::default().with_capture(recorder.clone()),
+                    ..Default::default()
+                },
             );
             let base = replay(
                 &capture_fs,
