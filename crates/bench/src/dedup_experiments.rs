@@ -11,7 +11,8 @@
 //! store against a chunked store on capture logs with read-backs — the
 //! layer must be observationally invisible.
 //!
-//! The reproduction claims, CI-gated by `DEDUP_GATE=1 repro dedupscale`:
+//! The reproduction claims, which `repro dedupscale` gates (its exit
+//! status fails when any of them breaks):
 //!
 //! 1. dedup ratio (logical bytes / pool bytes) is at least 5x on the
 //!    10-iteration repeated-checkpoint workload;
@@ -66,7 +67,7 @@ impl DedupDiffCell {
     }
 }
 
-/// Everything `repro dedupscale`, its gate, and `BENCH_dedup.json`
+/// Everything `repro dedupscale`, its gate, and `BENCH_dedupscale.json`
 /// share.
 #[derive(Debug, Clone)]
 pub struct DedupSummary {
@@ -295,9 +296,8 @@ pub fn dedup_gate(s: &DedupSummary) -> Result<String, String> {
 
 /// The `dedupscale` experiment report (also emits the metric series the
 /// schema tests assert on).
-pub fn dedup_report(reg: &Registry) -> String {
+pub fn dedup_report(reg: &Registry, s: &DedupSummary) -> String {
     const ITER_NAMES: [&str; 10] = ["0", "1", "2", "3", "4", "5", "6", "7", "8", "9"];
-    let s = dedup_results();
     let mut out = String::new();
     let _ = writeln!(out, "\n== Content-addressed dedup - repeated-checkpoint swarm ==");
     let _ = writeln!(
@@ -386,14 +386,14 @@ pub fn dedup_report(reg: &Registry) -> String {
     }
     let _ = writeln!(
         out,
-        "(full per-iteration detail goes to BENCH_dedup.json; stack your own runs\n\
+        "(full per-iteration detail goes to BENCH_dedupscale.json; stack your own runs\n\
          with `repro replay <log> --backend chunked`)"
     );
     out
 }
 
-/// The `BENCH_dedup.json` payload for an already-computed summary.
-pub fn dedup_json_from(s: &DedupSummary) -> obs::json::Value {
+/// The `BENCH_dedupscale.json` payload.
+pub fn dedup_json(s: &DedupSummary) -> obs::json::Value {
     use obs::json::Value;
     let iters = s
         .iters
@@ -449,17 +449,12 @@ pub fn dedup_json_from(s: &DedupSummary) -> obs::json::Value {
     ])
 }
 
-/// The `BENCH_dedup.json` payload (fresh run).
-pub fn dedup_json() -> obs::json::Value {
-    dedup_json_from(&dedup_results())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     /// The full grid passes its own gate — the same check
-    /// `DEDUP_GATE=1 repro dedupscale` enforces in CI.
+    /// `repro dedupscale` enforces.
     #[test]
     fn dedupscale_passes_its_gate() {
         let s = dedup_results();

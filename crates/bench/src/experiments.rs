@@ -3,7 +3,8 @@
 //! Every experiment takes an [`obs::Registry`] and records the numbers
 //! it prints as metric series, so tests (and the `repro --metrics`
 //! dump) can assert on the *values* rather than scraping stdout. Use
-//! [`crate::run_observed`] to collect them with an `exp=<id>` label.
+//! [`crate::Experiment::run_observed`] to collect them with an
+//! `exp=<id>` label.
 
 use std::fmt::Write;
 
@@ -22,7 +23,7 @@ use simkit::{Rng, SimDuration};
 use workloads::sample::uniform_aligned_offset;
 use workloads::{AppProfile, IoShape, Trace, APP_PROFILES};
 
-fn header(out: &mut String, title: &str) {
+pub(crate) fn header(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n== {title} ==");
 }
 
@@ -1165,7 +1166,7 @@ pub fn openscale_e2e() -> OpenScaleE2e {
 /// The `openscale` experiment: merge-cost scaling table plus the
 /// cold/warm open comparison. Every printed number is deterministic;
 /// wall-clock latencies are exported only via [`openscale_json`].
-pub fn openscale_report(reg: &Registry) -> String {
+pub fn openscale_report(reg: &Registry, cells: &[OpenScaleCell], e: &OpenScaleE2e) -> String {
     let mut out = String::new();
     header(&mut out, "Read-open index merge: O(n log n) sweep vs splice baseline");
     let _ = writeln!(
@@ -1173,7 +1174,7 @@ pub fn openscale_report(reg: &Registry) -> String {
         "{:>6} {:>10} {:>9} {:>13} {:>14} {:>9}",
         "ranks", "ents/rank", "entries", "sweep steps", "splice steps", "speedup"
     );
-    for c in openscale_results() {
+    for c in cells {
         let r_s = c.ranks.to_string();
         let p_s = c.per_rank.to_string();
         let labels = [("ranks", r_s.as_str()), ("per_rank", p_s.as_str())];
@@ -1189,7 +1190,6 @@ pub fn openscale_report(reg: &Registry) -> String {
             c.ranks, c.per_rank, c.entries, c.sweep_steps, c.splice_steps, speedup
         );
     }
-    let e = openscale_e2e();
     let _ = writeln!(
         out,
         "\nEnd-to-end open, {} ranks x {} writes (in-memory store):",
@@ -1220,10 +1220,10 @@ pub fn openscale_report(reg: &Registry) -> String {
 
 /// The `BENCH_openscale.json` payload: the scaling grid plus the
 /// end-to-end cold/warm open numbers, wall-clock included.
-pub fn openscale_json() -> obs::json::Value {
+pub fn openscale_json(cells: &[OpenScaleCell], e: &OpenScaleE2e) -> obs::json::Value {
     use obs::json::Value;
-    let cells = openscale_results()
-        .into_iter()
+    let cells = cells
+        .iter()
         .map(|c| {
             Value::Obj(vec![
                 ("ranks".into(), Value::Int(c.ranks as i64)),
@@ -1237,7 +1237,6 @@ pub fn openscale_json() -> obs::json::Value {
             ])
         })
         .collect();
-    let e = openscale_e2e();
     Value::Obj(vec![
         ("cells".into(), Value::Arr(cells)),
         (
@@ -1284,20 +1283,19 @@ pub struct ReadScaleCell {
     pub identical: bool,
 }
 
-/// Write + read back one cell through the real PLFS stack.
-pub fn readscale_cell(ranks: usize, per_rank: usize) -> ReadScaleCell {
-    use plfs::backend::Backend;
-    use plfs::faults::{FaultPlan, FaultyBackend};
-    use plfs::MemBackend;
-    use std::sync::Arc;
-    use std::time::Instant;
-
+/// Write the N-1 strided checkpoint the readscale and integrity suites
+/// read back: `ranks` writers interleave `per_rank` 64-byte records
+/// each, record `k` at offset `64 k` filled with the byte `k % 251`.
+/// Returns the file's size in bytes.
+fn write_strided_64(
+    backend: &std::sync::Arc<dyn plfs::backend::Backend>,
+    path: &str,
+    ranks: usize,
+    per_rank: usize,
+) -> u64 {
     const REC: u64 = 64;
-    let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(0x7265616473630a)));
-    let backend = faulty.clone() as Arc<dyn Backend>;
     let fs = plfs::Plfs::new(backend.clone(), plfs::PlfsConfig::default());
-    let mut writers: Vec<_> =
-        (0..ranks as u32).map(|r| fs.open_writer("/ckpt", r).unwrap()).collect();
+    let mut writers: Vec<_> = (0..ranks as u32).map(|r| fs.open_writer(path, r).unwrap()).collect();
     for i in 0..per_rank as u64 {
         for (r, w) in writers.iter_mut().enumerate() {
             let record = i * ranks as u64 + r as u64;
@@ -1307,7 +1305,20 @@ pub fn readscale_cell(ranks: usize, per_rank: usize) -> ReadScaleCell {
     for w in writers {
         w.close().unwrap();
     }
-    let total = (ranks * per_rank) as u64 * REC;
+    (ranks * per_rank) as u64 * REC
+}
+
+/// Write + read back one cell through the real PLFS stack.
+pub fn readscale_cell(ranks: usize, per_rank: usize) -> ReadScaleCell {
+    use plfs::backend::Backend;
+    use plfs::faults::{FaultPlan, FaultyBackend};
+    use plfs::MemBackend;
+    use std::sync::Arc;
+    use std::time::Instant;
+
+    let faulty = Arc::new(FaultyBackend::new(MemBackend::new(), FaultPlan::none(0x7265616473630a)));
+    let backend = faulty.clone() as Arc<dyn Backend>;
+    let total = write_strided_64(&backend, "/ckpt", ranks, per_rank);
 
     let open = || {
         let reg = Registry::new();
@@ -1431,7 +1442,7 @@ pub fn readscale_gate(cells: &[ReadScaleCell]) -> Result<String, String> {
 /// restart read-back, plus the simulated cluster-level restart. Every
 /// printed number is deterministic; wall-clock latencies are exported
 /// only via [`readscale_json`].
-pub fn readscale_report(reg: &Registry) -> String {
+pub fn readscale_report(reg: &Registry, cells: &[ReadScaleCell]) -> String {
     use plfs::simadapter::compare_restart;
     use plfs::strided_n1_pattern;
 
@@ -1442,7 +1453,7 @@ pub fn readscale_report(reg: &Registry) -> String {
         "{:>6} {:>10} {:>11} {:>12} {:>12} {:>10} {:>9} {:>6}",
         "ranks", "ents/rank", "bytes", "serial ops", "engine ops", "reduction", "batches", "same"
     );
-    for c in readscale_results() {
+    for c in cells {
         let r_s = c.ranks.to_string();
         let p_s = c.per_rank.to_string();
         let labels = [("ranks", r_s.as_str()), ("per_rank", p_s.as_str())];
@@ -1505,8 +1516,8 @@ pub fn readscale_report(reg: &Registry) -> String {
     out
 }
 
-/// The `BENCH_readscale.json` payload for an already-computed grid.
-pub fn readscale_json_from(cells: &[ReadScaleCell]) -> obs::json::Value {
+/// The `BENCH_readscale.json` payload.
+pub fn readscale_json(cells: &[ReadScaleCell]) -> obs::json::Value {
     use obs::json::Value;
     let cells = cells
         .iter()
@@ -1533,11 +1544,6 @@ pub fn readscale_json_from(cells: &[ReadScaleCell]) -> obs::json::Value {
         })
         .collect();
     Value::Obj(vec![("cells".into(), Value::Arr(cells))])
-}
-
-/// The `BENCH_readscale.json` payload (fresh grid).
-pub fn readscale_json() -> obs::json::Value {
-    readscale_json_from(&readscale_results())
 }
 
 // ---------------------------------------------------------------- integrity
@@ -1593,22 +1599,9 @@ pub fn integrity_cell(ranks: usize, per_rank: usize) -> IntegrityCell {
     use std::sync::Arc;
     use std::time::Instant;
 
-    const REC: u64 = 64;
     const PASSES: u32 = 3;
     let backend = Arc::new(MemBackend::new()) as Arc<dyn Backend>;
-    let fs = plfs::Plfs::new(backend.clone(), plfs::PlfsConfig::default());
-    let mut writers: Vec<_> =
-        (0..ranks as u32).map(|r| fs.open_writer("/ckpt", r).unwrap()).collect();
-    for i in 0..per_rank as u64 {
-        for (r, w) in writers.iter_mut().enumerate() {
-            let record = i * ranks as u64 + r as u64;
-            w.write_at(record * REC, &[(record % 251) as u8; REC as usize]).unwrap();
-        }
-    }
-    for w in writers {
-        w.close().unwrap();
-    }
-    let total = (ranks * per_rank) as u64 * REC;
+    let total = write_strided_64(&backend, "/ckpt", ranks, per_rank);
 
     let open = |reg: &Registry| {
         let fs = plfs::Plfs::new(
@@ -1755,17 +1748,7 @@ pub fn integrity_results() -> IntegritySummary {
     // Scrub throughput on a real checkpoint (the largest grid cell's
     // shape): full-container checksum walk on the bounded worker pool.
     let sb = Arc::new(MemBackend::new()) as Arc<dyn Backend>;
-    let sfs = plfs::Plfs::new(sb.clone(), plfs::PlfsConfig::default());
-    let mut writers: Vec<_> = (0..64u32).map(|r| sfs.open_writer("/big", r).unwrap()).collect();
-    for i in 0..1000u64 {
-        for (r, w) in writers.iter_mut().enumerate() {
-            let record = i * 64 + r as u64;
-            w.write_at(record * 64, &[(record % 251) as u8; 64]).unwrap();
-        }
-    }
-    for w in writers {
-        w.close().unwrap();
-    }
+    write_strided_64(&sb, "/big", 64, 1000);
     let mut scrub_wall_ns = u64::MAX;
     let mut scrub_report = None;
     for _ in 0..3 {
@@ -1846,8 +1829,7 @@ pub fn integrity_gate(s: &IntegritySummary) -> Result<String, String> {
 }
 
 /// The `integrity` experiment: end-to-end corruption detection.
-pub fn integrity_report(reg: &Registry) -> String {
-    let s = integrity_results();
+pub fn integrity_report(reg: &Registry, s: &IntegritySummary) -> String {
     let mut out = String::new();
     header(&mut out, "End-to-end integrity: verify-on-read, bit-flip sweep, scrub");
     let _ = writeln!(
@@ -1911,8 +1893,8 @@ pub fn integrity_report(reg: &Registry) -> String {
     out
 }
 
-/// The `BENCH_integrity.json` payload for an already-computed run.
-pub fn integrity_json_from(s: &IntegritySummary) -> obs::json::Value {
+/// The `BENCH_integrity.json` payload.
+pub fn integrity_json(s: &IntegritySummary) -> obs::json::Value {
     use obs::json::Value;
     let cells = s
         .cells
@@ -1959,23 +1941,10 @@ pub fn integrity_json_from(s: &IntegritySummary) -> obs::json::Value {
     ])
 }
 
-/// The `BENCH_integrity.json` payload (fresh run).
-pub fn integrity_json() -> obs::json::Value {
-    integrity_json_from(&integrity_results())
-}
-
 #[cfg(test)]
 mod tests {
     #[test]
-    fn every_experiment_runs_and_produces_output() {
-        for (id, _) in crate::EXPERIMENTS {
-            let report = crate::run(id).unwrap_or_else(|| panic!("unknown id {id}"));
-            assert!(report.len() > 100, "{id} produced a suspiciously short report");
-        }
-    }
-
-    #[test]
     fn unknown_id_is_none() {
-        assert!(crate::run("fig99").is_none());
+        assert!(crate::experiment("fig99").is_none());
     }
 }

@@ -2,11 +2,13 @@
 //! table in the PDSI final report.
 //!
 //! Each `figNN_report()` function runs the corresponding experiment on
-//! the simulators and returns the paper-style table as a string; the
-//! `repro` binary is a thin CLI over them. Absolute numbers come from
-//! the simulated substrate (see `DESIGN.md`), so the *shapes* — who
-//! wins, by what factor, where crossovers fall — are the reproduction
-//! targets, recorded against the paper in `EXPERIMENTS.md`.
+//! the simulators and returns the paper-style table as a string;
+//! [`EXPERIMENTS`] pairs every experiment id with the function that
+//! runs it, and the `repro` binary is a thin CLI over that table.
+//! Absolute numbers come from the simulated substrate (see
+//! `DESIGN.md`), so the *shapes* — who wins, by what factor, where
+//! crossovers fall — are the reproduction targets, recorded against
+//! the paper in `EXPERIMENTS.md`.
 
 pub mod dedup_experiments;
 pub mod experiments;
@@ -16,97 +18,248 @@ pub mod replay_experiments;
 pub mod trace_experiments;
 
 pub use dedup_experiments::{
-    dedup_gate, dedup_json, dedup_json_from, dedup_report, dedup_results, DedupDiffCell,
-    DedupIterCell, DedupSummary,
+    dedup_gate, dedup_json, dedup_report, dedup_results, DedupDiffCell, DedupIterCell, DedupSummary,
 };
 pub use experiments::*;
 pub use ingest_experiments::{
-    ingest_cell, ingest_gate, ingest_json, ingest_json_from, ingest_report, ingest_results,
-    ingest_swarm, IngestCell, PacedBackend,
+    ingest_cell, ingest_gate, ingest_json, ingest_report, ingest_results, ingest_swarm, IngestCell,
+    PacedBackend,
 };
 pub use monitor_experiments::{
-    monitor_gate, monitor_json, monitor_json_from, monitor_report, monitorscale_results,
-    run_monitor, FlakyMonitorCell, MonitorRun, MonitorSummary, SimMonitorCell, MONITOR_SCENARIOS,
+    monitor_gate, monitor_json, monitor_report, monitorscale_results, run_monitor,
+    FlakyMonitorCell, MonitorRun, MonitorSummary, SimMonitorCell, MONITOR_SCENARIOS,
 };
 pub use replay_experiments::{
-    backend_from_spec, drive_log, replay_gate, replay_json, replay_json_from, replay_report,
-    replay_results, DiffCell, ReplayModeCell, ReplaySummary,
+    backend_from_spec, drive_log, replay_gate, replay_json, replay_report, replay_results,
+    DiffCell, ReplayModeCell, ReplaySummary,
 };
 pub use trace_experiments::{run_trace, TraceRun, TRACE_EXPERIMENTS};
 
-/// All experiment ids the harness knows, with a one-line description.
-pub const EXPERIMENTS: &[(&str, &str)] = &[
-    ("fig2", "S3D checkpoint time under weak scaling + 12-hour-run prediction"),
-    ("fig3", "CDF of file sizes across eleven surveyed file systems (fsstats)"),
-    ("fig4", "interrupts linear in chips; MTTI projection to exascale"),
-    ("fig5", "effective application utilization; 50% crossing; disk growth"),
-    ("fig7", "GIGA+ create throughput vs servers (Metarates)"),
-    ("fig8", "PLFS vs direct N-1 checkpoint bandwidth on three file systems"),
-    ("fig9", "TCP incast goodput collapse and RTO fixes (1GE and 10GE)"),
-    ("fig10", "Argon performance insulation: shares under three policies"),
-    ("fig11", "flash vs disk: bandwidth and random IOPS"),
-    ("tab1", "Table 1 flash device characteristics (modeled vs published)"),
-    ("fig13", "stacked formatted-I/O optimization gains (Chombo & GCRM)"),
-    ("fig14", "sustained random-write IOPS degradation per flash device"),
-    ("fig15", "Ninjat visualization of an N-1 strided checkpoint"),
-    ("speedups", "per-application PLFS speedup table (report headline claims)"),
-    ("faults", "degraded-mode bandwidth under OSD crash/restart; PLFS retry masking"),
-    ("pnfs", "pNFS vs plain NFS aggregate bandwidth scaling"),
-    ("spyglass", "partitioned metadata search vs full scan"),
-    ("openscale", "read-open index merge scaling: sweep vs splice; flattened-index cache"),
-    ("readscale", "restart read-back: parallel coalesced engine vs serial per-piece reads"),
-    ("integrity", "end-to-end corruption detection: verify-on-read, bit-flip sweep, scrub"),
-    ("replay", "workload capture & replay: 3-mode determinism + differential engine pairs"),
-    ("monitorscale", "continuous telemetry: flight recorder, SLO burn rates, tail-sampled traces"),
-    ("ingestscale", "sharded ingest service: shard scaling, group-commit fan-in, backpressure"),
-    ("dedupscale", "content-addressed dedup: repeated-checkpoint ratio, orphan GC, chunked diff"),
+use obs::json::Value;
+use obs::Registry;
+
+/// What one experiment run hands back to the harness. A suite with a
+/// payload or a gate computes its results once and builds all three
+/// from them.
+pub struct Outcome {
+    /// The paper-style table `repro` prints.
+    pub report: String,
+    /// The machine-readable results `repro` writes to `BENCH_<id>.json`.
+    pub bench: Option<Value>,
+    /// The acceptance gate's verdict: `Ok` carries the summary line,
+    /// `Err` the violated bound.
+    pub gate: Option<Result<String, String>>,
+}
+
+impl From<String> for Outcome {
+    fn from(report: String) -> Self {
+        Outcome { report, bench: None, gate: None }
+    }
+}
+
+/// One experiment the harness knows.
+pub struct Experiment {
+    pub id: &'static str,
+    /// One-line description `repro` lists.
+    pub desc: &'static str,
+    run: fn(&Registry) -> Outcome,
+}
+
+impl Experiment {
+    /// Run the experiment, absorbing every metric series it records
+    /// into `reg` under an `exp=<id>` label. Each experiment emits at
+    /// least 20 distinct series (asserted by `tests/metrics.rs`), plus
+    /// the harness-level `bench.runs` / `bench.report_bytes` /
+    /// `bench.report_lines`.
+    pub fn run_observed(&self, reg: &Registry) -> Outcome {
+        let local = Registry::new();
+        let outcome = (self.run)(&local);
+        local.counter("bench.runs").inc();
+        local.gauge("bench.report_bytes").set(outcome.report.len() as i64);
+        local.gauge("bench.report_lines").set(outcome.report.lines().count() as i64);
+        reg.absorb(&local.snapshot(), &[("exp", self.id)]);
+        outcome
+    }
+}
+
+/// Look an experiment up by id.
+pub fn experiment(id: &str) -> Option<&'static Experiment> {
+    EXPERIMENTS.iter().find(|e| e.id == id)
+}
+
+/// Every experiment id the harness knows, in the order `repro all`
+/// runs them.
+pub const EXPERIMENTS: &[Experiment] = &[
+    Experiment {
+        id: "fig2",
+        desc: "S3D checkpoint time under weak scaling + 12-hour-run prediction",
+        run: |reg| fig2_s3d_report(reg).into(),
+    },
+    Experiment {
+        id: "fig3",
+        desc: "CDF of file sizes across eleven surveyed file systems (fsstats)",
+        run: |reg| fig3_fsstats_report(reg).into(),
+    },
+    Experiment {
+        id: "fig4",
+        desc: "interrupts linear in chips; MTTI projection to exascale",
+        run: |reg| fig4_mtti_report(reg).into(),
+    },
+    Experiment {
+        id: "fig5",
+        desc: "effective application utilization; 50% crossing; disk growth",
+        run: |reg| fig5_utilization_report(reg).into(),
+    },
+    Experiment {
+        id: "fig7",
+        desc: "GIGA+ create throughput vs servers (Metarates)",
+        run: |reg| fig7_giga_report(reg).into(),
+    },
+    Experiment {
+        id: "fig8",
+        desc: "PLFS vs direct N-1 checkpoint bandwidth on three file systems",
+        run: |reg| fig8_plfs_report(reg).into(),
+    },
+    Experiment {
+        id: "fig9",
+        desc: "TCP incast goodput collapse and RTO fixes (1GE and 10GE)",
+        run: |reg| fig9_incast_report(reg).into(),
+    },
+    Experiment {
+        id: "fig10",
+        desc: "Argon performance insulation: shares under three policies",
+        run: |reg| fig10_argon_report(reg).into(),
+    },
+    Experiment {
+        id: "fig11",
+        desc: "flash vs disk: bandwidth and random IOPS",
+        run: |reg| fig11_flash_report(reg).into(),
+    },
+    Experiment {
+        id: "tab1",
+        desc: "Table 1 flash device characteristics (modeled vs published)",
+        run: |reg| tab1_flash_table(reg).into(),
+    },
+    Experiment {
+        id: "fig13",
+        desc: "stacked formatted-I/O optimization gains (Chombo & GCRM)",
+        run: |reg| fig13_hdf5_report(reg).into(),
+    },
+    Experiment {
+        id: "fig14",
+        desc: "sustained random-write IOPS degradation per flash device",
+        run: |reg| fig14_degradation_report(reg).into(),
+    },
+    Experiment {
+        id: "fig15",
+        desc: "Ninjat visualization of an N-1 strided checkpoint",
+        run: |reg| fig15_ninjat_report(reg).into(),
+    },
+    Experiment {
+        id: "speedups",
+        desc: "per-application PLFS speedup table (report headline claims)",
+        run: |reg| speedup_table_report(reg).into(),
+    },
+    Experiment {
+        id: "faults",
+        desc: "degraded-mode bandwidth under OSD crash/restart; PLFS retry masking",
+        run: |reg| faults_report(reg).into(),
+    },
+    Experiment {
+        id: "pnfs",
+        desc: "pNFS vs plain NFS aggregate bandwidth scaling",
+        run: |reg| pnfs_report(reg).into(),
+    },
+    Experiment {
+        id: "spyglass",
+        desc: "partitioned metadata search vs full scan",
+        run: |reg| spyglass_report(reg).into(),
+    },
+    Experiment {
+        id: "openscale",
+        desc: "read-open index merge scaling: sweep vs splice; flattened-index cache",
+        run: |reg| {
+            let (cells, e2e) = (openscale_results(), openscale_e2e());
+            Outcome {
+                report: openscale_report(reg, &cells, &e2e),
+                bench: Some(openscale_json(&cells, &e2e)),
+                gate: None,
+            }
+        },
+    },
+    Experiment {
+        id: "readscale",
+        desc: "restart read-back: parallel coalesced engine vs serial per-piece reads",
+        run: |reg| {
+            let cells = readscale_results();
+            Outcome {
+                report: readscale_report(reg, &cells),
+                bench: Some(readscale_json(&cells)),
+                gate: Some(readscale_gate(&cells)),
+            }
+        },
+    },
+    Experiment {
+        id: "integrity",
+        desc: "end-to-end corruption detection: verify-on-read, bit-flip sweep, scrub",
+        run: |reg| {
+            let s = integrity_results();
+            Outcome {
+                report: integrity_report(reg, &s),
+                bench: Some(integrity_json(&s)),
+                gate: Some(integrity_gate(&s)),
+            }
+        },
+    },
+    Experiment {
+        id: "replay",
+        desc: "workload capture & replay: 3-mode determinism + differential engine pairs",
+        run: |reg| {
+            let s = replay_results();
+            Outcome {
+                report: replay_report(reg, &s),
+                bench: Some(replay_json(&s)),
+                gate: Some(replay_gate(&s)),
+            }
+        },
+    },
+    Experiment {
+        id: "monitorscale",
+        desc: "continuous telemetry: flight recorder, SLO burn rates, tail-sampled traces",
+        run: |reg| {
+            let s = monitorscale_results();
+            Outcome {
+                report: monitor_report(reg, &s),
+                bench: Some(monitor_json(&s)),
+                gate: Some(monitor_gate(&s)),
+            }
+        },
+    },
+    Experiment {
+        id: "ingestscale",
+        desc: "sharded ingest service: shard scaling, group-commit fan-in, backpressure",
+        run: |reg| {
+            let cells = ingest_results();
+            Outcome {
+                report: ingest_report(reg, &cells),
+                bench: Some(ingest_json(&cells)),
+                gate: Some(ingest_gate(&cells)),
+            }
+        },
+    },
+    Experiment {
+        id: "dedupscale",
+        desc: "content-addressed dedup: repeated-checkpoint ratio, orphan GC, chunked diff",
+        run: |reg| {
+            let s = dedup_results();
+            Outcome {
+                report: dedup_report(reg, &s),
+                bench: Some(dedup_json(&s)),
+                gate: Some(dedup_gate(&s)),
+            }
+        },
+    },
 ];
-
-/// Run one experiment by id, discarding its metrics.
-pub fn run(id: &str) -> Option<String> {
-    run_observed(id, &obs::Registry::new())
-}
-
-/// Run one experiment by id, absorbing every metric series it records
-/// into `reg` under an `exp=<id>` label. Each experiment emits at
-/// least 20 distinct series (asserted by `tests/metrics.rs`), plus the
-/// harness-level `bench.runs` / `bench.report_bytes` /
-/// `bench.report_lines`.
-pub fn run_observed(id: &str, reg: &obs::Registry) -> Option<String> {
-    let local = obs::Registry::new();
-    let report = match id {
-        "fig2" => fig2_s3d_report(&local),
-        "fig3" => fig3_fsstats_report(&local),
-        "fig4" => fig4_mtti_report(&local),
-        "fig5" => fig5_utilization_report(&local),
-        "fig7" => fig7_giga_report(&local),
-        "fig8" => fig8_plfs_report(&local),
-        "fig9" => fig9_incast_report(&local),
-        "fig10" => fig10_argon_report(&local),
-        "fig11" => fig11_flash_report(&local),
-        "tab1" => tab1_flash_table(&local),
-        "fig13" => fig13_hdf5_report(&local),
-        "fig14" => fig14_degradation_report(&local),
-        "fig15" => fig15_ninjat_report(&local),
-        "speedups" => speedup_table_report(&local),
-        "faults" => faults_report(&local),
-        "pnfs" => pnfs_report(&local),
-        "spyglass" => spyglass_report(&local),
-        "openscale" => openscale_report(&local),
-        "readscale" => readscale_report(&local),
-        "integrity" => integrity_report(&local),
-        "replay" => replay_report(&local),
-        "monitorscale" => monitor_report(&local),
-        "ingestscale" => ingest_report(&local),
-        "dedupscale" => dedup_report(&local),
-        _ => return None,
-    };
-    local.counter("bench.runs").inc();
-    local.gauge("bench.report_bytes").set(report.len() as i64);
-    local.gauge("bench.report_lines").set(report.lines().count() as i64);
-    reg.absorb(&local.snapshot(), &[("exp", id)]);
-    Some(report)
-}
 
 /// The headline reproduction numbers the repo stands behind, as a JSON
 /// object. `tests/golden.rs` pins these against a committed fixture

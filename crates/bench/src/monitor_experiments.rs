@@ -25,8 +25,8 @@
 //!    with an injected crash-stop whose final frame — the forensic one
 //!    a post-mortem would read — carries the surfaced write errors.
 //!
-//! `MONITOR_GATE=1 repro monitorscale` turns those claims into a CI
-//! failure; `repro monitor <scenario>` replays any scenario with a
+//! `repro monitorscale` fails its gate when any of those claims breaks;
+//! `repro monitor <scenario>` replays any scenario with a
 //! per-frame dashboard and writes the JSONL timeline / Prometheus
 //! artifacts.
 
@@ -131,8 +131,8 @@ pub struct FlakyMonitorCell {
     pub dashboard: String,
 }
 
-/// Everything `repro monitorscale`, its gate, and `BENCH_monitor.json`
-/// share.
+/// Everything `repro monitorscale`, its gate, and
+/// `BENCH_monitorscale.json` share.
 #[derive(Debug, Clone)]
 pub struct MonitorSummary {
     pub lat_threshold_ns: u64,
@@ -662,8 +662,7 @@ pub fn monitor_gate(s: &MonitorSummary) -> Result<String, String> {
 
 /// The `monitorscale` experiment report (also emits the metric series
 /// the schema tests assert on).
-pub fn monitor_report(reg: &Registry) -> String {
-    let s = monitorscale_results();
+pub fn monitor_report(reg: &Registry, s: &MonitorSummary) -> String {
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -759,13 +758,13 @@ pub fn monitor_report(reg: &Registry) -> String {
     let _ = writeln!(
         out,
         "(per-frame dashboards: `repro monitor <sim-clean|sim-degraded|flaky>`;\n\
-         timelines and Prometheus text go to BENCH_monitor.json / --out artifacts)"
+         timelines and Prometheus text go to BENCH_monitorscale.json / --out artifacts)"
     );
     out
 }
 
-/// The `BENCH_monitor.json` payload for an already-computed summary.
-pub fn monitor_json_from(s: &MonitorSummary) -> json::Value {
+/// The `BENCH_monitorscale.json` payload.
+pub fn monitor_json(s: &MonitorSummary) -> json::Value {
     use json::Value;
     let sim = |c: &SimMonitorCell| {
         Value::Obj(vec![
@@ -813,11 +812,6 @@ pub fn monitor_json_from(s: &MonitorSummary) -> json::Value {
             ]),
         ),
     ])
-}
-
-/// The `BENCH_monitor.json` payload (fresh run).
-pub fn monitor_json() -> json::Value {
-    monitor_json_from(&monitorscale_results())
 }
 
 // ------------------------------------------------------- CLI support

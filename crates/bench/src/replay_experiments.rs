@@ -15,8 +15,7 @@
 //! 3. timing-faithful replay actually paces: its wall clock is bounded
 //!    below by the capture's span divided by the speedup.
 //!
-//! `REPLAY_GATE=1 repro replay` turns those claims into a CI failure
-//! when any of them breaks. The helpers behind `repro replay <log>`
+//! `repro replay` fails its gate when any of them breaks. The helpers behind `repro replay <log>`
 //! and `repro genlog` (file-driving, backend specs) also live here.
 
 use std::fmt::Write;
@@ -258,8 +257,7 @@ pub fn replay_gate(s: &ReplaySummary) -> Result<String, String> {
 
 /// The `replay` experiment report (also emits the metric series the
 /// schema tests assert on).
-pub fn replay_report(reg: &Registry) -> String {
-    let s = replay_results();
+pub fn replay_report(reg: &Registry, s: &ReplaySummary) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "\n== Workload capture & replay - 3-mode determinism ==");
     let _ = writeln!(
@@ -330,8 +328,8 @@ pub fn replay_report(reg: &Registry) -> String {
     out
 }
 
-/// The `BENCH_replay.json` payload for an already-computed summary.
-pub fn replay_json_from(s: &ReplaySummary) -> obs::json::Value {
+/// The `BENCH_replay.json` payload.
+pub fn replay_json(s: &ReplaySummary) -> obs::json::Value {
     use obs::json::Value;
     let modes = s
         .modes
@@ -377,11 +375,6 @@ pub fn replay_json_from(s: &ReplaySummary) -> obs::json::Value {
         ("modes".into(), Value::Arr(modes)),
         ("pairs".into(), Value::Arr(pairs)),
     ])
-}
-
-/// The `BENCH_replay.json` payload (fresh run).
-pub fn replay_json() -> obs::json::Value {
-    replay_json_from(&replay_results())
 }
 
 // ------------------------------------------------------- CLI helpers

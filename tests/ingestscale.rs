@@ -273,7 +273,7 @@ fn ingest_json_has_documented_schema() {
         seed: 3,
     });
     let cells = vec![pdsi_bench::ingest_cell(1, &swarm)];
-    let v = pdsi_bench::ingest_json_from(&cells);
+    let v = pdsi_bench::ingest_json(&cells);
     let cells = v.get("cells").and_then(|c| c.as_arr()).expect("cells array");
     assert_eq!(cells.len(), 1);
     for c in cells {

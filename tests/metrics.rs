@@ -32,18 +32,50 @@ fn masked_retries_equal_injected_faults_exactly() {
 }
 
 /// Every `repro` experiment must emit at least 20 distinct metric
-/// series (the stable schema future perf PRs assert against).
+/// series (the stable schema future perf PRs assert against) and a
+/// non-trivial report. The suites that export `BENCH_<id>.json` and
+/// the ones that carry a gate are pinned by id, so a new suite cannot
+/// silently skip either, and every payload must survive the
+/// pretty-print/parse round trip `repro` writes it through.
 #[test]
 fn every_experiment_emits_at_least_20_series() {
-    for (id, _) in pdsi_bench::EXPERIMENTS {
+    let (mut benched, mut gated) = (Vec::new(), Vec::new());
+    for e in pdsi_bench::EXPERIMENTS {
         let reg = Registry::new();
-        pdsi_bench::run_observed(id, &reg).unwrap_or_else(|| panic!("unknown id {id}"));
+        let outcome = e.run_observed(&reg);
         assert!(
             reg.series_count() >= 20,
-            "{id} emitted only {} series (schema floor is 20)",
+            "{} emitted only {} series (schema floor is 20)",
+            e.id,
             reg.series_count()
         );
+        assert!(outcome.report.len() > 100, "{} produced a suspiciously short report", e.id);
+        if let Some(bench) = &outcome.bench {
+            benched.push(e.id);
+            let parsed = json::parse(&json::pretty(bench))
+                .unwrap_or_else(|err| panic!("{} payload is not valid JSON: {err}", e.id));
+            assert_eq!(&parsed, bench, "{} payload changed in the JSON round trip", e.id);
+        }
+        if outcome.gate.is_some() {
+            gated.push(e.id);
+        }
     }
+    assert_eq!(
+        benched,
+        [
+            "openscale",
+            "readscale",
+            "integrity",
+            "replay",
+            "monitorscale",
+            "ingestscale",
+            "dedupscale"
+        ]
+    );
+    assert_eq!(
+        gated,
+        ["readscale", "integrity", "replay", "monitorscale", "ingestscale", "dedupscale"]
+    );
 }
 
 /// End-to-end counter check through the public `Plfs` API: the write

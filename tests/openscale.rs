@@ -98,7 +98,8 @@ fn warm_open_serves_from_cache_with_zero_raw_entries() {
 /// schema EXPERIMENTS.md documents.
 #[test]
 fn openscale_json_has_documented_schema() {
-    let v = pdsi_bench::openscale_json();
+    let v =
+        pdsi_bench::openscale_json(&pdsi_bench::openscale_results(), &pdsi_bench::openscale_e2e());
     let cells = v.get("cells").and_then(|c| c.as_arr()).expect("cells array");
     assert_eq!(cells.len(), 4);
     for c in cells {

@@ -44,7 +44,7 @@ fn engine_ops_scale_with_droppings_not_entries() {
 #[test]
 fn readscale_json_has_documented_schema() {
     let cells = vec![pdsi_bench::readscale_cell(4, 100)];
-    let v = pdsi_bench::readscale_json_from(&cells);
+    let v = pdsi_bench::readscale_json(&cells);
     let cells = v.get("cells").and_then(|c| c.as_arr()).expect("cells array");
     assert_eq!(cells.len(), 1);
     for c in cells {
